@@ -5,11 +5,11 @@ GO ?= go
 ## (the container has no module proxy access).
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: ci fmt vet lint doc-check build test test-race conformance bench-smoke fuzz-smoke bench-micro bench-cluster bench-fault bench-shard bench-wan bench-compare bench-reconfig soak soak-short FORCE
+.PHONY: ci fmt vet lint doc-check build benchmark-check test test-race conformance bench-smoke fuzz-smoke bench-micro bench-cluster bench-fault bench-shard bench-wan bench-compare bench-reconfig soak soak-short FORCE
 
 ## ci: the main CI job, in order (the race and bench-smoke jobs run in
 ## parallel in the workflow)
-ci: fmt vet lint build test
+ci: fmt vet lint build benchmark-check test
 
 ## lint: the invariant analyzer suite (lockcheck, wirecheck, noalloc,
 ## ctxcheck, doccheck + curated standard passes) over the whole tree,
@@ -42,6 +42,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+## benchmark-check: vet and test the nested tempo/benchmark module. It
+## compiles against internal/cluster's exported API, and `go build ./...`
+## at the root never builds it.
+benchmark-check:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 test:
 	$(GO) test ./...

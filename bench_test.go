@@ -110,14 +110,11 @@ func BenchmarkAblationMBump(b *testing.B) {
 // state) are shared with `bench -exp micro`, which emits them to
 // BENCH_micro.json so successive PRs track the trajectory.
 
-// BenchmarkCodec measures encode+decode of a fast-path message mix:
-// the hand-rolled binary wire codec vs the legacy gob codec. The
-// encoded-bytes metric compares wire sizes.
+// BenchmarkCodec measures encode+decode of a fast-path message mix with
+// the wire codec. The encoded-bytes metric reports the wire size.
 func BenchmarkCodec(b *testing.B) {
-	b.Run("binary/encode", func(b *testing.B) { bench.CodecEncodeLoop(b, "binary") })
-	b.Run("gob/encode", func(b *testing.B) { bench.CodecEncodeLoop(b, "gob") })
-	b.Run("binary/decode", func(b *testing.B) { bench.CodecDecodeLoop(b, "binary") })
-	b.Run("gob/decode", func(b *testing.B) { bench.CodecDecodeLoop(b, "gob") })
+	b.Run("binary/encode", bench.CodecEncodeLoop)
+	b.Run("binary/decode", bench.CodecDecodeLoop)
 }
 
 // BenchmarkTrackerStable measures the Theorem 1 stability watermark in
@@ -135,11 +132,9 @@ func BenchmarkProcessSteadyState(b *testing.B) {
 }
 
 // BenchmarkClientRoundTrip measures closed-loop client throughput over
-// a real loopback cluster: the legacy one-request-at-a-time gob client
-// vs the pipelined binary session with 64 requests in flight. The ops/s
-// ratio is the headline number of the client API redesign.
+// a real loopback cluster through the pipelined session with 64
+// requests in flight.
 func BenchmarkClientRoundTrip(b *testing.B) {
-	b.Run("legacy-gob", bench.ClientLegacyRoundTripLoop)
 	b.Run("pipelined-64", bench.ClientPipelinedRoundTripLoop)
 }
 

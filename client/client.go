@@ -44,9 +44,8 @@ import (
 )
 
 // Typed errors returned by the session API. Wrapped errors carry
-// detail; test with errors.Is. The sentinels are shared with the
-// in-process runtime (internal/core), so code can move between the two
-// without changing its error handling.
+// detail; test with errors.Is. The sentinels live in internal/command,
+// next to the wire error codes they decode from.
 var (
 	// ErrTimeout reports that a request's deadline expired before the
 	// command executed, whether the client's context fired or the

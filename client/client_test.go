@@ -247,37 +247,6 @@ func TestClientDeadlineShortCircuits(t *testing.T) {
 	}
 }
 
-// TestMixedLegacyAndBinaryClients runs the legacy gob client and a
-// binary session against the same node: both protocols are served on
-// one listener and observe each other's writes.
-func TestMixedLegacyAndBinaryClients(t *testing.T) {
-	addrs, topo := startCluster(t, 3, 1)
-	addr := addrs[topo.ProcessAt(0, 0)]
-
-	legacy, err := cluster.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	s := sessionTo(t, addr)
-	ctx := context.Background()
-
-	if err := legacy.Put("from-legacy", []byte("gob")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Get(ctx, "from-legacy")
-	if err != nil || !bytes.Equal(v, []byte("gob")) {
-		t.Fatalf("binary client read of legacy write = %q, %v", v, err)
-	}
-	if err := s.Put(ctx, "from-binary", []byte("bin")); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := legacy.Get("from-binary")
-	if err != nil || !bytes.Equal(v2, []byte("bin")) {
-		t.Fatalf("legacy client read of binary write = %q, %v", v2, err)
-	}
-}
-
 // TestGetNotFound pins the typed-error contract: a missing key is
 // ErrNotFound, a present empty value is not.
 func TestGetNotFound(t *testing.T) {

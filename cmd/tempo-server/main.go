@@ -10,14 +10,15 @@
 //	tempo-client -servers 127.0.0.1:7001,127.0.0.1:7002 put greeting hello
 //
 // The i-th entry of -peers is the address of the replica with -id i.
-// Each replica serves peers and clients on the same port: the pipelined
-// binary client protocol (the top-level client package), the legacy gob
-// client protocol, both peer codecs, and the state-sync protocol used
-// by restarting peers are all auto-detected per connection.
+// Each replica serves peers and clients on the same port: peer links,
+// the pipelined client protocol (the top-level client package), the
+// state-sync protocol used by restarting peers and the configuration
+// protocol are told apart per connection by a 4-byte magic (see
+// docs/ARCHITECTURE.md "Wire dialects").
 //
 // -engine selects the consensus protocol: tempo (default), epaxos or
 // fpaxos (internal/engine). The baselines serve the same client
-// protocols over the same runtime; every replica of a cluster must run
+// protocol over the same runtime; every replica of a cluster must run
 // the same engine. Durability (-data-dir) is Tempo-only, and sharded
 // mode always runs Tempo.
 //

@@ -27,9 +27,11 @@ import (
 
 	"tempo/client"
 	"tempo/internal/cluster"
-	"tempo/internal/core"
+	"tempo/internal/command"
 	"tempo/internal/ids"
+	"tempo/internal/proto"
 	"tempo/internal/tempo"
+	"tempo/internal/testnet"
 	"tempo/internal/topology"
 )
 
@@ -38,44 +40,62 @@ func main() {
 	durableRestart()
 }
 
-// inMemoryRecovery is Act 1: Algorithm 4 over the in-process core.
+// inMemoryRecovery is Act 1: Algorithm 4 across five in-process
+// replicas, driven by the deterministic message pump of
+// internal/testnet.
 func inMemoryRecovery() {
-	ctx := context.Background()
-	cluster, err := core.New(core.Options{
-		Tempo: tempo.Config{
+	topo := topology.EC2(1)
+	procs := make(map[ids.ProcessID]*tempo.Process)
+	var reps []proto.Replica
+	for _, pi := range topo.Processes() {
+		p := tempo.New(pi.ID, topo, tempo.Config{
 			PromiseInterval: 5 * time.Millisecond,
 			RecoveryTimeout: 20 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		log.Fatal(err)
+		})
+		procs[pi.ID] = p
+		reps = append(reps, p)
 	}
+	net := testnet.New(reps...)
+	// execute submits ops at a site's replica and pumps messages and
+	// ticks until that replica executes the command.
+	execute := func(site ids.SiteID, ops ...command.Op) *command.Result {
+		at := topo.ProcessAt(site, 0)
+		cmd := command.New(procs[at].NextID(), ops...)
+		net.Submit(at, cmd)
+		for i := 0; i < 1000; i++ {
+			net.Drain(0)
+			for _, e := range net.DrainExecuted()[at] {
+				if e.Cmd.ID == cmd.ID {
+					return e.Result
+				}
+			}
+			net.Tick(2 * time.Millisecond)
+		}
+		log.Fatalf("command %v did not execute (crashed quorum?)", cmd.ID)
+		return nil
+	}
+	put := func(site ids.SiteID, key, value string) {
+		execute(site, command.Op{Kind: command.Put, Key: command.Key(key), Value: []byte(value)})
+	}
+	const ireland, canada, saoPaulo = 0, 3, 4
 
-	canada := cluster.Client(3)
-	if err := canada.Put(ctx, "ledger", []byte("v1")); err != nil {
-		log.Fatal(err)
-	}
+	put(canada, "ledger", "v1")
 	fmt.Println("wrote ledger=v1 via canada")
 
 	// Ireland (rank 1, the default Ω choice) fail-stops.
-	cluster.Crash(0, 0)
+	net.Crash(topo.ProcessAt(ireland, 0))
 	fmt.Println("ireland crashed")
 
 	// Ω nominates rank 2 (N. California); pending commands coordinated
 	// by Ireland are recovered with their original timestamps
 	// (Properties 1 and 4 of the paper).
-	cluster.SetLeader(2)
-	cluster.Settle(10, 20*time.Millisecond)
+	net.SetLeader(2)
+	net.Settle(10, 20*time.Millisecond)
 
 	// The system remains available for reads and writes.
-	if err := canada.Put(ctx, "ledger", []byte("v2")); err != nil {
-		log.Fatal(err)
-	}
-	v, err := cluster.Client(4).Get(ctx, "ledger")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("after crash+recovery: ledger=%s (read via s.paulo)\n", v)
+	put(canada, "ledger", "v2")
+	res := execute(saoPaulo, command.Op{Kind: command.Get, Key: "ledger"})
+	fmt.Printf("after crash+recovery: ledger=%s (read via s.paulo)\n", res.Values[0])
 }
 
 // durableRestart is Act 2: a real TCP cluster whose nodes persist to

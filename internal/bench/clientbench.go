@@ -9,16 +9,12 @@ import (
 	"tempo/internal/command"
 )
 
-// Closed-loop client round-trip benchmarks over a real loopback
-// cluster: the legacy gob client (one request in flight per connection)
-// against the pipelined binary session with a 64-deep window. Both
-// measure the same thing — completed Puts against a 3-replica Tempo
-// cluster — so the ns/op ratio is the throughput multiple the
-// session-based API buys on the client↔replica path.
+// Closed-loop client round-trip benchmark over a real loopback cluster:
+// completed Puts against a 3-replica Tempo cluster through the
+// pipelined session with a 64-deep window.
 
 // ClientBenchWindow is the pipeline depth of the pipelined round-trip
-// benchmark (the acceptance bar of the client API redesign is ≥2x the
-// legacy client's throughput at ≥64 in flight).
+// benchmark.
 const ClientBenchWindow = 64
 
 // loopbackCluster boots a 3-replica Tempo cluster on loopback with the
@@ -33,30 +29,6 @@ func loopbackCluster() ([]string, func()) {
 
 func putOp(key string, v []byte) command.Op {
 	return command.Op{Kind: command.Put, Key: command.Key(key), Value: v}
-}
-
-// ClientLegacyRoundTripLoop measures the legacy gob client: one
-// blocking Put per iteration, strictly one request in flight.
-func ClientLegacyRoundTripLoop(b *testing.B) {
-	addrs, cleanup := loopbackCluster()
-	defer cleanup()
-	c, err := cluster.Dial(addrs[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	// One warm-up op so the cluster's promise gossip is flowing.
-	if err := c.Put("warm", []byte("x")); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Put("bench", []byte("x")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
 // ClientPipelinedRoundTripLoop measures the session API with

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,25 +26,6 @@ import (
 // computation run on every protocol step (tracker), and the end-to-end
 // per-command protocol work (process steady state).
 
-func init() {
-	// Reference codec for the codec comparison; registration is
-	// idempotent for identical types.
-	gob.Register(&tempo.MSubmit{})
-	gob.Register(&tempo.MPayload{})
-	gob.Register(&tempo.MPropose{})
-	gob.Register(&tempo.MProposeAck{})
-	gob.Register(&tempo.MBump{})
-	gob.Register(&tempo.MCommit{})
-	gob.Register(&tempo.MConsensus{})
-	gob.Register(&tempo.MConsensusAck{})
-	gob.Register(&tempo.MRec{})
-	gob.Register(&tempo.MRecAck{})
-	gob.Register(&tempo.MRecNAck{})
-	gob.Register(&tempo.MCommitRequest{})
-	gob.Register(&tempo.MPromises{})
-	gob.Register(&tempo.MStable{})
-}
-
 // codecMix is a representative message mix for one fast-path commit
 // round plus a promise broadcast.
 func codecMix() []proto.Message {
@@ -66,84 +46,42 @@ func codecMix() []proto.Message {
 	}
 }
 
-// CodecEncodeLoop measures encoding the mix with the binary codec
-// (reused buffer) or gob (reused stream, as the legacy per-connection
-// encoder amortized type descriptors).
-func CodecEncodeLoop(b *testing.B, codec string) {
+// CodecEncodeLoop measures encoding the mix into a reused buffer.
+func CodecEncodeLoop(b *testing.B) {
 	msgs := codecMix()
 	b.ReportAllocs()
-	switch codec {
-	case "binary":
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf = buf[:0]
-			var err error
-			for _, m := range msgs {
-				if buf, err = proto.AppendMessage(buf, m); err != nil {
-					b.Fatal(err)
-				}
+	var buf []byte
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		var err error
+		for _, m := range msgs {
+			if buf, err = proto.AppendMessage(buf, m); err != nil {
+				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(len(buf)), "encoded-bytes")
-	case "gob":
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			for _, m := range msgs {
-				if err := enc.Encode(&m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(buf.Len()), "encoded-bytes")
-	default:
-		b.Fatalf("unknown codec %q", codec)
 	}
+	b.ReportMetric(float64(len(buf)), "encoded-bytes")
 }
 
 // CodecDecodeLoop measures decoding the same mix.
-func CodecDecodeLoop(b *testing.B, codec string) {
+func CodecDecodeLoop(b *testing.B) {
 	msgs := codecMix()
 	b.ReportAllocs()
-	switch codec {
-	case "binary":
-		var bin []byte
-		var err error
-		for _, m := range msgs {
-			if bin, err = proto.AppendMessage(bin, m); err != nil {
+	var bin []byte
+	var err error
+	for _, m := range msgs {
+		if bin, err = proto.AppendMessage(bin, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rest := bin
+		for len(rest) > 0 {
+			if _, rest, err = proto.DecodeMessage(rest); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rest := bin
-			for len(rest) > 0 {
-				if _, rest, err = proto.DecodeMessage(rest); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	case "gob":
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for _, m := range msgs {
-			if err := enc.Encode(&m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dec := gob.NewDecoder(bytes.NewReader(buf.Bytes()))
-			for range msgs {
-				var out proto.Message
-				if err := dec.Decode(&out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	default:
-		b.Fatalf("unknown codec %q", codec)
 	}
 }
 
@@ -280,13 +218,10 @@ func RunMicro(out io.Writer) []MicroResult {
 		fmt.Fprintln(out)
 		results = append(results, mr)
 	}
-	run("codec/binary/encode", func(b *testing.B) { CodecEncodeLoop(b, "binary") })
-	run("codec/gob/encode", func(b *testing.B) { CodecEncodeLoop(b, "gob") })
-	run("codec/binary/decode", func(b *testing.B) { CodecDecodeLoop(b, "binary") })
-	run("codec/gob/decode", func(b *testing.B) { CodecDecodeLoop(b, "gob") })
+	run("codec/binary/encode", CodecEncodeLoop)
+	run("codec/binary/decode", CodecDecodeLoop)
 	run("tracker/stable", TrackerStableLoop)
 	run("process/steady-state", SteadyStateLoop)
-	run("client/roundtrip/legacy-gob", ClientLegacyRoundTripLoop)
 	run("client/roundtrip/pipelined-64", ClientPipelinedRoundTripLoop)
 	return results
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -62,23 +61,6 @@ func startClusterWith(t *testing.T, r, f int, configure func(i int, n *Node)) ([
 	return nodes, addrs, topo
 }
 
-// chanWaiter builds a legacy-style waiter completing over a channel, the
-// in-process window into the batch submission path.
-func chanWaiter(deadline time.Time) *waiter {
-	return &waiter{deadline: deadline, ch: make(chan *ClientReply, 1)}
-}
-
-func awaitReply(t *testing.T, w *waiter, what string) *ClientReply {
-	t.Helper()
-	select {
-	case rep := <-w.ch:
-		return rep
-	case <-time.After(10 * time.Second):
-		t.Fatalf("%s: no reply", what)
-		return nil
-	}
-}
-
 // TestBatchIndependentResults pins per-request result routing through a
 // shared batch: requests coalesced into one multi-op command must each
 // complete with their own values, and a request whose deadline expires
@@ -102,7 +84,7 @@ func TestBatchIndependentResults(t *testing.T) {
 
 	// Seed values through another node so the gets below have something
 	// to read; their completion implies the writes are stable.
-	seed, err := Dial(addrs[topo.ProcessAt(1, 0)])
+	seed, err := dialClient(addrs[topo.ProcessAt(1, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,31 +98,29 @@ func TestBatchIndependentResults(t *testing.T) {
 	n0 := nodes[0]
 	// Park a never-completing pending command so the idle-node immediate
 	// flush (group commit) stays out of the way and the window applies.
-	blocker := chanWaiter(time.Time{})
+	blocker, _ := pipeWaiter(t, time.Time{})
 	n0.waitMu.Lock()
 	n0.waiters[ids.Dot{Source: 99, Seq: 1}] = &pendingCmd{members: []*waiter{blocker}}
 	n0.syncPendingLocked()
 	n0.waitMu.Unlock()
 
-	wA := chanWaiter(time.Now().Add(time.Millisecond)) // expires before the flush
-	wB := chanWaiter(time.Time{})
-	wC := chanWaiter(time.Time{})
+	wA, brA := pipeWaiter(t, time.Now().Add(time.Millisecond)) // expires before the flush
+	wB, brB := pipeWaiter(t, time.Time{})
+	wC, brC := pipeWaiter(t, time.Time{})
 	n0.submit(wA, []command.Op{{Kind: command.Put, Key: "a", Value: []byte("never")}})
 	n0.submit(wB, []command.Op{{Kind: command.Get, Key: "k1"}})
 	n0.submit(wC, []command.Op{{Kind: command.Get, Key: "k2"}, {Kind: command.Get, Key: "k3"}})
 
-	repA := awaitReply(t, wA, "request A")
-	if repA.OK || !strings.Contains(repA.Error, "deadline") {
-		t.Fatalf("expired batch member reply = %+v, want deadline error", repA)
+	if _, werr, _ := readReply(t, brA); werr.Code != command.ErrCodeTimeout {
+		t.Fatalf("expired batch member reply = %+v, want a timeout", werr)
 	}
-	repB := awaitReply(t, wB, "request B")
-	if !repB.OK || len(repB.Values) != 1 || !bytes.Equal(repB.Values[0], []byte("v1")) {
-		t.Fatalf("request B reply = %+v, want [v1]", repB)
+	if _, werr, vals := readReply(t, brB); werr.Code != command.ErrCodeNone ||
+		len(vals) != 1 || !bytes.Equal(vals[0], []byte("v1")) {
+		t.Fatalf("request B reply = %+v %q, want [v1]", werr, vals)
 	}
-	repC := awaitReply(t, wC, "request C")
-	if !repC.OK || len(repC.Values) != 2 ||
-		!bytes.Equal(repC.Values[0], []byte("v2")) || !bytes.Equal(repC.Values[1], []byte("v3")) {
-		t.Fatalf("request C reply = %+v, want [v2 v3]", repC)
+	if _, werr, vals := readReply(t, brC); werr.Code != command.ErrCodeNone || len(vals) != 2 ||
+		!bytes.Equal(vals[0], []byte("v2")) || !bytes.Equal(vals[1], []byte("v3")) {
+		t.Fatalf("request C reply = %+v %q, want [v2 v3]", werr, vals)
 	}
 
 	// B and C rode one 3-op command; A's expired put was never submitted.
@@ -192,7 +172,7 @@ func TestExecutorAppliesInTimestampOrder(t *testing.T) {
 		wg.Add(1)
 		go func(addr string, who int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dialClient(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -285,10 +265,9 @@ func TestBatchDisabled(t *testing.T) {
 	if n0.batcher != nil {
 		t.Fatal("batcher built despite SetBatch(1, 0)")
 	}
-	w := chanWaiter(time.Time{})
+	w, br := pipeWaiter(t, time.Time{})
 	n0.submit(w, []command.Op{{Kind: command.Put, Key: "x", Value: []byte("v")}})
-	rep := awaitReply(t, w, "direct request")
-	if !rep.OK {
-		t.Fatalf("direct request failed: %+v", rep)
+	if _, werr, _ := readReply(t, br); werr.Code != command.ErrCodeNone {
+		t.Fatalf("direct request failed: %+v", werr)
 	}
 }

@@ -13,36 +13,26 @@ import (
 
 // Client wire protocol
 //
-// The binary client protocol mirrors the peer protocol: after a 4-byte
-// magic prefix, each direction is a stream of length-prefixed frames
-// (uvarint body length || body). Unlike the one-request-in-flight gob
-// protocol it replaces, every request carries a client-chosen request
-// id, so a session keeps any number of commands in flight on one
-// connection and the server completes them in execution order.
+// The client protocol mirrors the peer protocol: after a 4-byte magic
+// prefix, each direction is a stream of length-prefixed frames (uvarint
+// body length || body). Every request starts with a kind byte and
+// carries a client-chosen request id, so a session keeps any number of
+// commands in flight on one connection and the server completes them in
+// execution order.
 //
-// Request body:  uvarint(reqID) || uvarint(deadline µs, 0 = none) || ops
+// Request body:  kind || uvarint(reqID) || uvarint(deadline µs, 0 = none) || per-kind fields
 // Reply body:    uvarint(reqID) || error(code, msg) || values (code 0 only)
 //
 // Ops, values and errors use the command package encoders, so nil values
-// (key not found) survive the wire distinct from empty ones. The legacy
-// gob protocol (hello with From == 0, one blocking request at a time)
-// remains auto-detected for old clients.
+// (key not found) survive the wire distinct from empty ones.
 
-// ClientMagic prefixes binary-protocol client connections. Like
-// peerMagic, the leading 0xFF cannot begin a gob stream, and the third
-// byte distinguishes clients from peers.
-var ClientMagic = [4]byte{0xFF, 'T', 'C', 1}
-
-// ClientMagic2 prefixes version-2 client connections: every request
-// frame starts with a kind byte, which adds the cross-shard requests
-// (mint, submit-at, watch) next to plain submission. Replies are
-// unchanged. Servers keep serving version-1 connections, so old clients
-// interoperate; the client package always dials version 2, so new
-// clients need servers at least this version (a pre-v2 server drops the
-// unknown magic and the session reports every replica unreachable).
+// ClientMagic2 prefixes client connections. The version byte is 2: the
+// kind-less version-1 framing is no longer served, and a server drops
+// its magic like any unknown one (the session reports the replica
+// unreachable).
 var ClientMagic2 = [4]byte{0xFF, 'T', 'C', 2}
 
-// Version-2 request kinds.
+// Request kinds.
 const (
 	// ReqSubmit is a plain submission: the serving replica mints the
 	// command id, executes the ops on their (single) shard and replies
@@ -74,44 +64,12 @@ const (
 // directions; receivers drop connections announcing larger frames.
 const MaxClientFrameBytes = 64 << 20
 
-// AppendClientRequest appends a client request frame (length prefix
-// included) to buf. deadline is the time budget the server may hold the
-// command before failing it with ErrCodeTimeout; 0 means no deadline.
-// scratch is a reusable body buffer (the length prefix is variable
-// width, so the body is staged there before the copy into buf); callers
-// on the hot path keep one per connection so steady state allocates
-// nothing.
-//
-//tempo:noalloc
-func AppendClientRequest(buf []byte, scratch *[]byte, reqID uint64, deadline time.Duration, ops []command.Op) []byte {
-	body := binary.AppendUvarint((*scratch)[:0], reqID)
-	body = binary.AppendUvarint(body, uint64(deadline.Microseconds()))
-	body = command.AppendOps(body, ops)
-	*scratch = body
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
-}
-
-// DecodeClientRequest decodes a request frame body.
-func DecodeClientRequest(b []byte) (reqID uint64, deadline time.Duration, ops []command.Op, err error) {
-	if reqID, b, err = proto.ReadUvarint(b); err != nil {
-		return 0, 0, nil, err
-	}
-	var us uint64
-	if us, b, err = proto.ReadUvarint(b); err != nil {
-		return 0, 0, nil, err
-	}
-	deadline = time.Duration(us) * time.Microsecond
-	if ops, _, err = command.DecodeOps(b); err != nil {
-		return 0, 0, nil, err
-	}
-	return reqID, deadline, ops, nil
-}
-
 // AppendClientReply appends a reply frame (length prefix included) to
 // buf. A zero werr.Code reports success and carries values; any other
-// code carries only the error. scratch is reused as in
-// AppendClientRequest.
+// code carries only the error. scratch is a reusable body buffer (the
+// length prefix is variable width, so the body is staged there before
+// the copy into buf); callers on the hot path keep one per connection so
+// steady state allocates nothing.
 //
 //tempo:noalloc
 func AppendClientReply(buf []byte, scratch *[]byte, reqID uint64, werr command.WireError, values [][]byte) []byte {
@@ -141,7 +99,7 @@ func DecodeClientReply(b []byte) (reqID uint64, werr command.WireError, values [
 	return reqID, werr, values, nil
 }
 
-// ClientRequest2 is one decoded version-2 request frame. Which fields
+// ClientRequest2 is one decoded request frame. Which fields
 // are meaningful depends on Kind: every request has ReqID; Deadline
 // rides on Submit/SubmitAt/Watch; Shard and ID on SubmitAt/Watch; Ops
 // on Submit/SubmitAt; Count on Mint.
@@ -157,7 +115,7 @@ type ClientRequest2 struct {
 	Ops      []command.Op
 }
 
-// appendReqHeader stages the fields shared by every v2 request kind.
+// appendReqHeader stages the fields shared by every request kind.
 //
 //tempo:noalloc
 func appendReqHeader(body []byte, kind byte, reqID uint64, deadline time.Duration) []byte {
@@ -176,7 +134,9 @@ func finishFrame(buf []byte, scratch *[]byte, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// AppendSubmitRequest appends a v2 plain-submission frame.
+// AppendSubmitRequest appends a plain-submission frame (length prefix
+// included) to buf. deadline is the time budget the server may hold the
+// command before failing it with ErrCodeTimeout; 0 means no deadline.
 //
 //tempo:noalloc
 func AppendSubmitRequest(buf []byte, scratch *[]byte, reqID uint64, deadline time.Duration, ops []command.Op) []byte {
@@ -185,7 +145,7 @@ func AppendSubmitRequest(buf []byte, scratch *[]byte, reqID uint64, deadline tim
 	return finishFrame(buf, scratch, body)
 }
 
-// AppendMintRequest appends a v2 id-block mint frame.
+// AppendMintRequest appends an id-block mint frame.
 //
 //tempo:noalloc
 func AppendMintRequest(buf []byte, scratch *[]byte, reqID uint64, count int) []byte {
@@ -194,7 +154,7 @@ func AppendMintRequest(buf []byte, scratch *[]byte, reqID uint64, count int) []b
 	return finishFrame(buf, scratch, body)
 }
 
-// AppendSubmitAtRequest appends a v2 cross-shard submission frame:
+// AppendSubmitAtRequest appends a cross-shard submission frame:
 // the full op list submitted under a client-held id, served by a
 // replica of the target shard.
 //
@@ -207,7 +167,7 @@ func AppendSubmitAtRequest(buf []byte, scratch *[]byte, reqID uint64, deadline t
 	return finishFrame(buf, scratch, body)
 }
 
-// AppendWatchRequest appends a v2 watch frame: the reply carries the
+// AppendWatchRequest appends a watch frame: the reply carries the
 // target shard's result segment of the watched command.
 //
 //tempo:noalloc
@@ -237,7 +197,7 @@ func decodeDot(b []byte) (ids.Dot, []byte, error) {
 	return ids.Dot{Source: ids.ProcessID(src), Seq: seq}, b, nil
 }
 
-// DecodeClientRequest2 decodes a v2 request frame body.
+// DecodeClientRequest2 decodes a request frame body.
 func DecodeClientRequest2(b []byte) (req ClientRequest2, err error) {
 	if len(b) == 0 {
 		return req, proto.ErrCorrupt

@@ -13,26 +13,27 @@
 // proto.LeaderAware engines follow an external leader oracle. Engine
 // messages cross the peer links through the self-describing binary frame
 // layer: each message type registers its own tag and codec with
-// proto.RegisterWire (and with gob for the legacy codec), so the node
-// never inspects protocol messages. See docs/ARCHITECTURE.md "Pluggable
-// engines".
+// proto.RegisterWire, so the node never inspects protocol messages. See
+// docs/ARCHITECTURE.md "Pluggable engines".
 //
-// Peer links default to the hand-rolled binary codec (proto.BinaryMessage)
-// with batched, length-prefixed frames: the writer goroutine coalesces
-// every message queued for a destination into one framed write, so a tick
-// burst costs one syscall instead of one gob encode per message. The
-// legacy gob codec is kept behind SetCodec(CodecGob) for cross-version
-// compatibility; receivers auto-detect the peer's codec from the magic
-// prefix, so mixed-codec clusters interoperate.
+// There is one transport. Every listener, peer link and client
+// connection belongs to a Group (group.go): a psmr site hosts one node
+// per locally replicated shard in one Group, and a standalone Node
+// started with Start/StartListener runs inside a private Group of one.
+// Peer links carry batched, length-prefixed frames of (from, to)-tagged
+// messages: the writer goroutine coalesces every message queued for a
+// destination address into one framed write, so a tick burst costs one
+// syscall. The listener serves exactly four dialects, told apart by a
+// 4-byte magic: GroupMagic (peer links), ClientMagic2 (clients),
+// SyncMagic (state catch-up) and membership.ConfigMagic (configuration
+// exchange); see docs/ARCHITECTURE.md "Wire dialects".
 //
 // The client protocol (see clientproto.go) is binary and fully
 // pipelined: every request carries a request id and an optional
 // deadline, pending commands are tracked as id-tagged waiters completed
 // by the protocol's execution path (no goroutine per request), and
 // replies share the batched-writer machinery of the peer links. The
-// legacy one-request-at-a-time gob protocol is auto-detected and served
-// for old clients. The session API over this protocol lives in the
-// top-level client package.
+// session API over this protocol lives in the top-level client package.
 //
 // A node configured with a data directory (SetDurable; tempo-server
 // -data-dir) survives crash-restart: the executor goroutine records
@@ -47,11 +48,7 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
@@ -64,53 +61,9 @@ import (
 	"tempo/internal/proto"
 )
 
-// Codec selects the wire encoding for outgoing peer links.
-type Codec int
-
-const (
-	// CodecBinary is the hand-rolled varint codec with batch framing
-	// (the default).
-	CodecBinary Codec = iota
-	// CodecGob is the legacy reflection-based codec, kept for
-	// cross-version compatibility tests.
-	CodecGob
-)
-
-// peerMagic prefixes binary-codec peer connections. The first byte of a
-// gob stream is a small message length (< 0x80), so 0xFF cannot be
-// mistaken for the start of a gob or legacy connection.
-var peerMagic = [4]byte{0xFF, 'T', 'P', 1}
-
-const (
-	// maxWriteBatch bounds how many queued messages one frame coalesces.
-	maxWriteBatch = 512
-	// defaultMaxFrameBytes is the default frame-body bound; see
-	// Node.frameLimit.
-	defaultMaxFrameBytes = 64 << 20
-)
-
-// envelope is the wire frame between nodes.
-type envelope struct {
-	From ids.ProcessID
-	Msg  proto.Message
-}
-
-// hello identifies a connecting peer (or a client, with From == 0).
-type hello struct {
-	From ids.ProcessID
-}
-
-// ClientRequest submits a command; the node assigns the identifier.
-type ClientRequest struct {
-	Ops []command.Op
-}
-
-// ClientReply returns the local shard's execution results.
-type ClientReply struct {
-	OK     bool
-	Error  string
-	Values [][]byte
-}
+// defaultMaxFrameBytes is the default frame-body bound; see
+// Node.frameLimit and Group.frameLimit.
+const defaultMaxFrameBytes = 64 << 20
 
 // Node runs one replica.
 type Node struct {
@@ -125,14 +78,15 @@ type Node struct {
 	shard    ids.ShardID
 	hasShard bool
 
-	// transport, when set (group deployments), carries outgoing protocol
-	// messages instead of the node's own per-peer links; see SetTransport.
+	// transport carries outgoing protocol messages: the Group hosting the
+	// node (AddNode installs it). own is the private Group of one that a
+	// standalone node builds in StartListener — it owns the listener, the
+	// peer links and the client connections, and dies with the node; it
+	// is nil for a node hosted by someone else's Group. shaper is handed
+	// to own at start (see SetShaper).
 	transport Transport
-
-	// shaper, when set, interposes WAN emulation (delay/jitter/loss/
-	// bandwidth) and runtime partitions on outgoing protocol messages
-	// before they reach the transport or peer queues; see SetShaper.
-	shaper *Shaper
+	own       *Group
+	shaper    *Shaper
 
 	// syncPeers restricts the durable state-catch-up round to the
 	// replicas of this node's own shard (nil: every address, the
@@ -144,7 +98,7 @@ type Node struct {
 	// static addrs map rules forever. draining flips when Drain starts
 	// (new submissions are rejected); joinClock/joinSeq are the
 	// successor-safety floors of a joining replica (SetJoinFloor),
-	// applied by startCore. See membership.go.
+	// applied by StartHosted. See membership.go.
 	view      *membership.View
 	draining  atomic.Bool
 	joinClock uint64
@@ -160,11 +114,6 @@ type Node struct {
 
 	//tempo:guard
 	mu sync.Mutex // guards rep
-	// out holds per-peer outbound queues; a writer goroutine per peer
-	// dials and encodes, so protocol steps never block on the network.
-	//tempo:guard
-	outMu sync.Mutex
-	out   map[ids.ProcessID]chan proto.Message
 
 	// waiters maps a pending command id to the client requests riding on
 	// it (one for a direct submission, many for a batched one). Each
@@ -207,38 +156,24 @@ type Node struct {
 	// order).
 	execObserver func(proto.Stable)
 
-	// clientConns tracks live binary-protocol client connections so
-	// Close can fail their pending requests and unblock their read
-	// loops instead of stranding clients. peerConns tracks inbound peer
-	// connections for the same reason: a closed node must stop consuming
-	// protocol traffic, or peers would keep talking to a zombie instead
-	// of redialing its successor (an in-process restart; a killed
-	// process loses its sockets anyway).
-	ccMu        sync.Mutex
-	clientConns map[*clientConn]struct{}
-	peerConns   map[net.Conn]struct{}
-
 	// dur, when set via SetDurable, persists applied commands and
 	// protocol watermarks to a data directory (see durable.go); lastSeq
 	// mirrors the highest minted command seq for its reservations
 	// (written under n.mu in submitCmd, read under n.mu by
 	// maybeReserveLocked). ready flips once recovery finishes: until
-	// then inbound connections are only served the sync protocol, so
+	// then the hosting group drops peer frames addressed to the node, so
 	// peers restarting together can exchange state without any of them
-	// accepting protocol or client traffic early.
+	// accepting protocol traffic early.
 	dur     *durability
 	lastSeq uint64
 	ready   atomic.Bool
 
-	ln     net.Listener
 	done   chan struct{}
 	closed sync.Once
 	tick   time.Duration
-	codec  Codec
-	// frameLimit bounds a frame body in both directions: receivers drop
-	// connections that announce a larger frame (corruption guard), and
-	// writeBatch splits batches so no frame exceeds it. Fixed at
-	// construction (connection goroutines read it concurrently).
+	// frameLimit bounds a state-sync frame body in both directions (the
+	// corruption guard; peer and client frames are bounded by the hosting
+	// group's limit). Fixed at construction.
 	frameLimit uint64
 }
 
@@ -258,12 +193,9 @@ func NewNode(id ids.ProcessID, rep proto.Replica, addrs map[ids.ProcessID]string
 		id:          id,
 		rep:         rep,
 		addrs:       addrs,
-		out:         make(map[ids.ProcessID]chan proto.Message),
 		waiters:     make(map[ids.Dot]*pendingCmd),
 		parked:      make(map[ids.Dot]parkedResult),
 		lastRecv:    make(map[ids.ProcessID]int64),
-		clientConns: make(map[*clientConn]struct{}),
-		peerConns:   make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
 		tick:        5 * time.Millisecond,
 		frameLimit:  defaultMaxFrameBytes,
@@ -280,29 +212,25 @@ func NewNode(id ids.ProcessID, rep proto.Replica, addrs map[ids.ProcessID]string
 	return n
 }
 
-// SetCodec selects the wire codec for outgoing peer links. Call before
-// Start; the default is CodecBinary. Inbound links auto-detect the
-// sender's codec, so nodes with different codecs interoperate.
-func (n *Node) SetCodec(c Codec) { n.codec = c }
-
-// Transport carries outgoing protocol messages on behalf of hosted
-// nodes. A Group installs one so every node it hosts shares the group's
-// peer links (and its in-process fast path between co-hosted shards)
-// instead of dialing its own. Send must not block: implementations
-// queue and drop like the node's own writers.
+// Transport carries a node's outgoing protocol messages. A Group
+// installs itself as the transport of every node it hosts, so they share
+// its peer links (and its in-process fast path between co-hosted
+// shards). Send must not block: implementations queue, and drop when a
+// queue is full.
 type Transport interface {
 	Send(from, to ids.ProcessID, msg proto.Message)
 }
 
-// SetTransport routes the node's outgoing protocol messages through t
-// instead of per-peer links owned by the node. Call before Start.
+// SetTransport routes the node's outgoing protocol messages through t.
+// Group.AddNode calls it; call before Start.
 func (n *Node) SetTransport(t Transport) { n.transport = t }
 
-// SetShaper interposes sh on the node's outgoing protocol messages:
-// WAN emulation and runtime-controllable partitions for fault
-// injection. Call before Start. Group-hosted nodes should install the
-// shaper on the Group instead (one shaping layer per link, not two);
-// the node does not own sh and never closes it.
+// SetShaper interposes sh on a standalone node's outgoing protocol
+// messages: WAN emulation and runtime-controllable partitions for fault
+// injection. Call before Start; the node hands sh to its private group.
+// A node hosted by a Group is shaped by Group.SetShaper instead (there
+// is one shaping hook per link). The node does not own sh and never
+// closes it.
 func (n *Node) SetShaper(sh *Shaper) { n.shaper = sh }
 
 // SetExecObserver registers fn to be called by the executor for every
@@ -317,13 +245,6 @@ func (n *Node) SetExecObserver(fn func(proto.Stable)) { n.execObserver = fn }
 // address is asked, which is only correct when all processes replicate
 // the same shard. Call before Start.
 func (n *Node) SetSyncPeers(peers []ids.ProcessID) { n.syncPeers = peers }
-
-// Deliver feeds a decoded message batch from a remote process into the
-// replica; group transports use it to hand inbound traffic to the node
-// they demultiplexed it for.
-func (n *Node) Deliver(from ids.ProcessID, msgs []proto.Message) {
-	n.deliverBatch(from, msgs)
-}
 
 // SetBatch tunes server-side submit batching: client operations arriving
 // within window are coalesced, per target shard, into one command of at
@@ -357,39 +278,44 @@ func (n *Node) Start() error {
 
 // StartListener runs the node on an already-bound listener; useful when
 // ports are allocated dynamically and the full address map must be known
-// before any node starts. With a durable configuration, recovery —
-// snapshot load, WAL replay, peer catch-up, watermark reservation —
-// happens here, before any protocol or client traffic is served.
+// before any node starts. The node becomes a private Group of one — the
+// same sequence psmr runs for a site — so the group's listener is
+// already answering state-sync and config requests while durable
+// recovery (snapshot load, WAL replay, peer catch-up, watermark
+// reservation) runs in StartHosted, and peers restarting at the same
+// time can catch up from each other. The listener is closed on error.
 func (n *Node) StartListener(ln net.Listener) error {
-	if err := n.validateEngine(); err != nil {
-		ln.Close()
-		return err
-	}
-	n.ln = ln
-	if n.dur != nil {
-		// Accept connections during recovery so that peers restarting at
-		// the same time can answer each other's state-catch-up requests;
-		// serveConn rejects everything but the sync protocol until
-		// n.ready flips.
-		go n.acceptLoop()
-		if err := n.recoverDurable(); err != nil {
-			ln.Close()
-			return fmt.Errorf("cluster: durable recovery: %w", err)
+	// The processes whose state-sync requests this node may answer are
+	// the ones it would itself ask: its shard's replicas (SetSyncPeers),
+	// by default every address.
+	peers := n.syncPeers
+	if peers == nil {
+		for pid := range n.addrs {
+			peers = append(peers, pid)
 		}
 	}
-	n.startCore()
-	if n.dur == nil {
-		go n.acceptLoop()
+	shardOf := make(map[ids.ProcessID]ids.ShardID, len(peers))
+	for _, pid := range peers {
+		shardOf[pid] = n.shard
 	}
-	go n.tickLoop()
+	g := NewGroup(n.addrs, shardOf)
+	g.SetMembership(n.view)
+	g.SetShaper(n.shaper)
+	g.AddNode(n)
+	n.own = g
+	g.StartListener(ln)
+	if err := n.StartHosted(); err != nil {
+		g.Close()
+		return err
+	}
+	g.SetReady()
 	return nil
 }
 
-// StartHosted runs the node without a listener of its own: a Group owns
-// the shared listener and hands the node its inbound traffic via
-// Deliver/serve hooks. Durable recovery still runs here — the group's
-// listener must already be accepting, so restarting sites can answer
-// each other's state-catch-up requests mid-recovery.
+// StartHosted runs the node inside a Group, which owns the listener and
+// hands the node its inbound traffic via Deliver. Durable recovery runs
+// here — the group's listener must already be accepting, so restarting
+// sites can answer each other's state-catch-up requests mid-recovery.
 func (n *Node) StartHosted() error {
 	if err := n.validateEngine(); err != nil {
 		return err
@@ -399,7 +325,19 @@ func (n *Node) StartHosted() error {
 			return fmt.Errorf("cluster: durable recovery: %w", err)
 		}
 	}
-	n.startCore()
+	// The join floor (if any) must precede the first protocol step; after
+	// durable recovery it composes with the recovery-time reservations
+	// (engines' Restore/JoinFloor take maxes).
+	n.applyJoinFloor()
+	if dr, ok := n.rep.(proto.DeferredApplier); ok {
+		dr.SetDeferredApply(true)
+		n.defRep = dr
+		go n.execLoop()
+	}
+	if n.sharder != nil && n.batchMaxOps > 1 && n.batchWindow > 0 {
+		n.batcher = newSubmitBatcher(n, n.sharder, n.batchMaxOps, n.batchWindow, n.batchPace)
+	}
+	n.ready.Store(true)
 	go n.tickLoop()
 	return nil
 }
@@ -414,47 +352,27 @@ func (n *Node) validateEngine() error {
 	return nil
 }
 
-// startCore arms the execution pipeline and the submit batcher and
-// flips the node to ready. The join floor (if any) is applied first:
-// it must precede the first protocol step, and with a durable
-// configuration it composes with the recovery-time reservations
-// (engines' Restore/JoinFloor take maxes).
-func (n *Node) startCore() {
-	n.applyJoinFloor()
-	if dr, ok := n.rep.(proto.DeferredApplier); ok {
-		dr.SetDeferredApply(true)
-		n.defRep = dr
-		go n.execLoop()
-	}
-	if n.sharder != nil && n.batchMaxOps > 1 && n.batchWindow > 0 {
-		n.batcher = newSubmitBatcher(n, n.sharder, n.batchMaxOps, n.batchWindow, n.batchPace)
-	}
-	n.ready.Store(true)
-}
-
 // Addr returns the bound listen address ("" for a group-hosted node,
 // which shares its group's listener).
 func (n *Node) Addr() string {
-	if n.ln == nil {
+	if n.own == nil {
 		return ""
 	}
-	return n.ln.Addr().String()
+	return n.own.Addr()
 }
 
 // Close shuts the node down. Pending client requests fail with a
 // shutdown error (best effort — the reply races the connection
-// teardown), and every client connection is closed so sessions observe
-// the shutdown promptly instead of waiting on a silent socket.
+// teardown). A standalone node then closes its private group: the
+// listener, every client connection (so sessions observe the shutdown
+// promptly instead of waiting on a silent socket) and every peer link
+// (so peers redial the node's successor instead of feeding a zombie).
 func (n *Node) Close() {
 	n.closed.Do(func() {
 		close(n.done)
-		if n.ln != nil {
-			n.ln.Close()
-		}
 		// Claim every pending waiter — registered ones first, then the
-		// requests still sitting in the batcher: binary ones get a
-		// shutdown reply enqueued, legacy ones unblock their serving
-		// goroutine.
+		// requests still sitting in the batcher — and enqueue a shutdown
+		// reply for each.
 		n.waitMu.Lock()
 		var pending []*waiter
 		for id, pc := range n.waiters {
@@ -469,21 +387,8 @@ func (n *Node) Close() {
 		for _, w := range pending {
 			w.fail(command.WireError{Code: command.ErrCodeShutdown, Msg: "node shutting down"})
 		}
-		n.ccMu.Lock()
-		conns := make([]*clientConn, 0, len(n.clientConns))
-		for cc := range n.clientConns {
-			conns = append(conns, cc)
-		}
-		peers := make([]net.Conn, 0, len(n.peerConns))
-		for pc := range n.peerConns {
-			peers = append(peers, pc)
-		}
-		n.ccMu.Unlock()
-		for _, cc := range conns {
-			cc.conn.Close()
-		}
-		for _, pc := range peers {
-			pc.Close()
+		if n.own != nil {
+			n.own.Close()
 		}
 		if n.dur != nil && n.dur.log != nil {
 			if err := n.dur.log.Close(); err != nil {
@@ -493,148 +398,10 @@ func (n *Node) Close() {
 	})
 }
 
-func (n *Node) acceptLoop() {
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			return
-		}
-		go n.serveConn(conn)
-	}
-}
-
-// serveConn handles an inbound connection: a binary-codec peer or a
-// binary-protocol client (both detected by their magic prefix), a gob
-// peer (hello with From != 0), or a legacy gob client (request/reply).
-func (n *Node) serveConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	if first, err := br.Peek(1); err == nil && first[0] == peerMagic[0] {
-		var magic [4]byte
-		if _, err := io.ReadFull(br, magic[:]); err != nil {
-			return
-		}
-		switch magic {
-		case peerMagic:
-			if !n.ready.Load() {
-				return // mid-recovery: peers redial once we serve
-			}
-			if !n.trackPeerConn(conn) {
-				return
-			}
-			defer n.untrackPeerConn(conn)
-			n.serveBinaryPeer(br)
-		case ClientMagic, ClientMagic2:
-			if !n.ready.Load() {
-				return // mid-recovery: sessions fail over to live replicas
-			}
-			serveClientStream(n, conn, br, magic == ClientMagic2)
-		case SyncMagic:
-			n.serveSync(conn, br)
-		case membership.ConfigMagic:
-			n.serveMembership(conn, br)
-		}
-		return
-	}
-	if !n.ready.Load() {
-		return
-	}
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	var h hello
-	if err := dec.Decode(&h); err != nil {
-		return
-	}
-	if h.From != 0 {
-		// Legacy gob peer connection: stream envelopes.
-		if !n.trackPeerConn(conn) {
-			return
-		}
-		defer n.untrackPeerConn(conn)
-		for {
-			var env envelope
-			if err := dec.Decode(&env); err != nil {
-				return
-			}
-			n.deliver(env.From, env.Msg)
-		}
-	}
-	// Legacy gob client connection: serve one blocking request at a time.
-	for {
-		var req ClientRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		res := n.serveClient(&req)
-		if err := enc.Encode(res); err != nil {
-			return
-		}
-	}
-}
-
-// serveBinaryPeer streams batch frames from a binary-codec peer. Each
-// frame is uvarint(len(body)) || body, where body is uvarint(from)
-// followed by tagged messages until the body is exhausted. The whole
-// frame is decoded outside n.mu, then delivered under one lock
-// acquisition — inbound decode work never extends the critical section,
-// and a coalesced frame costs one lock round-trip instead of one per
-// message.
-func (n *Node) serveBinaryPeer(br *bufio.Reader) {
-	var buf []byte
-	var msgs []proto.Message
-	for {
-		b, err := ReadFrame(br, n.frameLimit, &buf)
-		if err != nil {
-			return
-		}
-		from, b, err := proto.ReadUvarint(b)
-		if err != nil {
-			return
-		}
-		msgs = msgs[:0]
-		for len(b) > 0 {
-			msg, rest, err := proto.DecodeMessage(b)
-			if err != nil {
-				return
-			}
-			b = rest
-			msgs = append(msgs, msg)
-		}
-		n.deliverBatch(ids.ProcessID(from), msgs)
-		clear(msgs) // drop message refs until the next frame
-	}
-}
-
-// trackPeerConn registers an inbound peer connection so Close can tear
-// it down; it reports false (and the caller must drop the connection)
-// when the node is already shutting down.
-func (n *Node) trackPeerConn(conn net.Conn) bool {
-	n.ccMu.Lock()
-	defer n.ccMu.Unlock()
-	select {
-	case <-n.done:
-		return false
-	default:
-	}
-	n.peerConns[conn] = struct{}{}
-	return true
-}
-
-func (n *Node) untrackPeerConn(conn net.Conn) {
-	n.ccMu.Lock()
-	delete(n.peerConns, conn)
-	n.ccMu.Unlock()
-}
-
-// legacyClientTimeout is the execution deadline applied to legacy gob
-// clients, which cannot express one per request.
-const legacyClientTimeout = 10 * time.Second
-
 // waiter tracks one pending client request until it is claimed by
 // exactly one of: local execution, deadline expiry, connection teardown,
-// or node shutdown. Binary-protocol waiters complete by enqueuing a
-// reply frame on their connection; legacy gob waiters complete over a
-// buffered channel their serving goroutine blocks on.
+// or node shutdown. It completes by enqueuing a reply frame on its
+// connection.
 //
 // A waiter is one member of a pendingCmd: a direct submission has one
 // member owning the whole result, a batched submission has one member
@@ -644,7 +411,6 @@ type waiter struct {
 	deadline time.Time // zero = no deadline
 	cc       *clientConn
 	reqID    uint64
-	ch       chan *ClientReply // legacy path only
 
 	// claimed is guarded by Node.waitMu; it holds the claim-once
 	// discipline together wherever the waiter currently lives (batcher
@@ -704,22 +470,12 @@ func (w *waiter) segment(values [][]byte) [][]byte {
 // complete delivers an execution result. The caller has already claimed
 // the waiter; complete never blocks.
 func (w *waiter) complete(values [][]byte) {
-	if w.cc != nil {
-		w.cc.reply(w.reqID, command.WireError{}, values)
-		return
-	}
-	//tempo:allowblock cap-1 channel, claimed exactly once, so the send always has buffer space
-	w.ch <- &ClientReply{OK: true, Values: values}
+	w.cc.reply(w.reqID, command.WireError{}, values)
 }
 
 // fail delivers a typed error. Same claiming contract as complete.
 func (w *waiter) fail(e command.WireError) {
-	if w.cc != nil {
-		w.cc.reply(w.reqID, e, nil)
-		return
-	}
-	//tempo:allowblock cap-1 channel, claimed exactly once, so the send always has buffer space
-	w.ch <- &ClientReply{Error: e.Msg}
+	w.cc.reply(w.reqID, e, nil)
 }
 
 // submit routes one client request. The shard split is explicit:
@@ -729,8 +485,8 @@ func (w *waiter) fail(e command.WireError) {
 // them with single-shard requests would change the combined command's
 // shard set, and therefore its quorum cost and every batchmate's
 // result segment. The cross-shard waiter owns the whole local result
-// (the serving shard's segment); version-2 clients obtain the other
-// shards' segments via watch registrations.
+// (the serving shard's segment); clients obtain the other shards'
+// segments via watch registrations.
 func (n *Node) submit(w *waiter, ops []command.Op) {
 	if n.draining.Load() {
 		// Graceful drain: the replica finishes what it accepted but
@@ -865,37 +621,13 @@ func (n *Node) expireWaiters(now time.Time) {
 	}
 }
 
-// serveClient serves one legacy gob request: submit, then block until a
-// completion path claims the waiter. Only the claimant touches the
-// channel, so there is no timeout/registration race.
-func (n *Node) serveClient(req *ClientRequest) *ClientReply {
-	if len(req.Ops) == 0 {
-		return &ClientReply{Error: "empty command"}
-	}
-	w := &waiter{
-		deadline: time.Now().Add(legacyClientTimeout),
-		ch:       make(chan *ClientReply, 1),
-	}
-	n.submit(w, req.Ops)
-	select {
-	case rep := <-w.ch:
-		return rep
-	case <-n.done:
-		if n.claimOne(w) {
-			return &ClientReply{Error: "node shutting down"}
-		}
-		// Lost the claim race: the completion is already in flight.
-		return <-w.ch
-	}
-}
-
 // clientConn is the server half of one binary-protocol client
 // connection. Replies are appended to a pending buffer and flushed by a
 // dedicated writer goroutine, so completion paths (which run under
 // n.mu) never block on the network, and replies completed in one
 // protocol step coalesce into one write.
 type clientConn struct {
-	host clientHost
+	g    *Group
 	conn net.Conn
 	dead chan struct{} // closed when the read loop exits
 
@@ -952,37 +684,28 @@ func (cc *clientConn) writeLoop() {
 
 // abandon tears the connection's server state down: the writer stops,
 // and every waiter still pending for this connection — on any node the
-// host serves — is claimed and dropped (there is no one left to reply
+// group hosts — is claimed and dropped (there is no one left to reply
 // to).
 func (cc *clientConn) abandon() {
 	close(cc.dead)
 	cc.mu.Lock()
 	cc.closed = true
 	cc.mu.Unlock()
-	cc.host.untrackClientConn(cc)
-	for _, n := range cc.host.localNodes() {
+	cc.g.untrackClientConn(cc)
+	for _, n := range cc.g.list {
 		n.sweepConn(cc)
 	}
 }
 
-// deliver feeds a message into the replica.
-func (n *Node) deliver(from ids.ProcessID, msg proto.Message) {
-	if n.fenced(from) {
-		return
-	}
-	n.mu.Lock()
-	acts := n.rep.Handle(from, msg)
-	n.afterStepLocked(acts)
-	n.mu.Unlock()
-}
-
-// deliverBatch feeds every message of a decoded frame into the replica
-// under one lock acquisition. Actions are consumed after each step (the
-// replica's action slices are scratch, valid only until its next step).
-// Traffic from fenced slots (Dead/Left members whose id may already
-// serve under a successor) drops here, before any protocol state sees
-// it.
-func (n *Node) deliverBatch(from ids.ProcessID, msgs []proto.Message) {
+// Deliver feeds a decoded run of messages from one remote process into
+// the replica under one lock acquisition; the hosting group calls it
+// with the traffic it demultiplexed for this node. The decode already
+// happened outside n.mu, so inbound work never extends the critical
+// section. Actions are consumed after each step (the replica's action
+// slices are scratch, valid only until its next step). Traffic from
+// fenced slots (Dead/Left members whose id may already serve under a
+// successor) drops here, before any protocol state sees it.
+func (n *Node) Deliver(from ids.ProcessID, msgs []proto.Message) {
 	if len(msgs) == 0 || n.fenced(from) {
 		return
 	}
@@ -1026,14 +749,14 @@ func (n *Node) tickLoop() {
 // already happened inline and the results are completed here.
 func (n *Node) afterStepLocked(acts []proto.Action) {
 	// The reservation check runs before any of the step's messages are
-	// released to the (concurrently draining) peer writers: when the
+	// released to the (concurrently draining) link writers: when the
 	// step bumped the clock past the durable reservation, the covering
 	// RecMark must hit the disk before a promise above it can reach a
 	// peer.
 	n.maybeReserveLocked()
 	for _, a := range acts {
 		for _, to := range a.To {
-			n.sendLocked(to, a.Msg)
+			n.transport.Send(n.id, to, a.Msg)
 		}
 	}
 	if n.defRep != nil {
@@ -1099,239 +822,4 @@ func (n *Node) execLoop() {
 		}
 		clear(local) // drop command refs until the next swap
 	}
-}
-
-// sendLocked routes one outgoing envelope: through the shaper when one
-// is installed (which may delay, drop, or partition it), else straight
-// to the transport/peer queues via forward.
-func (n *Node) sendLocked(to ids.ProcessID, msg proto.Message) {
-	if n.shaper != nil {
-		n.shaper.Send(n.id, to, msg, n.forward)
-		return
-	}
-	n.forward(n.id, to, msg)
-}
-
-// forward enqueues an envelope for a peer; a writer goroutine per peer
-// performs the dialing and encoding. A full queue drops the message —
-// the protocol's liveness machinery retries. Group-hosted nodes hand
-// the message to the shared transport instead. Safe off the protocol
-// lock (shaper link goroutines call it after the delay elapses).
-func (n *Node) forward(from, to ids.ProcessID, msg proto.Message) {
-	if n.fenced(to) {
-		return
-	}
-	if n.transport != nil {
-		n.transport.Send(from, to, msg)
-		return
-	}
-	n.outMu.Lock()
-	ch, ok := n.out[to]
-	if !ok {
-		ch = make(chan proto.Message, 4096)
-		n.out[to] = ch
-		go n.writer(to, ch)
-	}
-	n.outMu.Unlock()
-	select {
-	case ch <- msg:
-	default:
-	}
-}
-
-// writer drains a peer's outbound queue over a (re)dialed connection,
-// coalescing everything queued at wake-up into one framed, buffered
-// write: a protocol step or tick that fans out many messages to the same
-// destination costs one syscall, not one encode+write per message. The
-// destination address is resolved per batch, so an epoch that rebinds
-// the peer's slot (node replacement) redirects the link without a
-// restart.
-func (n *Node) writer(to ids.ProcessID, ch chan proto.Message) {
-	var conn net.Conn
-	var bw *bufio.Writer
-	var enc *gob.Encoder // CodecGob only
-	var dialed string    // address conn was dialed to
-	var head, body []byte
-	batch := make([]proto.Message, 0, maxWriteBatch)
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
-	for {
-		var msg proto.Message
-		select {
-		case <-n.done:
-			return
-		case msg = <-ch:
-		}
-		batch = append(batch[:0], msg)
-	coalesce:
-		for len(batch) < maxWriteBatch {
-			select {
-			case m := <-ch:
-				batch = append(batch, m)
-			default:
-				break coalesce
-			}
-		}
-		for attempt := 0; attempt < 2; attempt++ {
-			addr := n.addrOf(to)
-			if addr == "" {
-				break // unroutable (fenced or unknown): drop
-			}
-			if conn != nil && addr != dialed {
-				// The slot moved to a new address this epoch.
-				conn.Close()
-				conn, bw, enc = nil, nil, nil
-			}
-			if conn == nil {
-				c, err := net.DialTimeout("tcp", addr, 2*time.Second)
-				if err != nil {
-					break // drop; liveness machinery retries
-				}
-				w := bufio.NewWriter(c)
-				var e *gob.Encoder
-				if n.codec == CodecGob {
-					e = gob.NewEncoder(w)
-					if err := e.Encode(&hello{From: n.id}); err != nil {
-						c.Close()
-						break
-					}
-				} else if _, err := w.Write(peerMagic[:]); err != nil {
-					c.Close()
-					break
-				}
-				conn, bw, enc, dialed = c, w, e, addr
-			}
-			err := n.writeBatch(bw, enc, batch, &head, &body)
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
-				conn.Close()
-				conn, bw, enc = nil, nil, nil
-				continue
-			}
-			break
-		}
-	}
-}
-
-// writeBatch encodes one coalesced batch into bw, splitting it across
-// frames so no frame body exceeds the frame limit (a receiver drops the
-// connection on larger frames). A single message that alone exceeds the
-// cap can never be delivered and is dropped, like a full queue — the
-// protocol's liveness machinery retries. head and body are reused
-// scratch buffers (binary codec only).
-func (n *Node) writeBatch(bw *bufio.Writer, enc *gob.Encoder, batch []proto.Message, head, body *[]byte) error {
-	if n.codec == CodecGob {
-		for _, m := range batch {
-			if err := enc.Encode(&envelope{From: n.id, Msg: m}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	writeFrame := func(b []byte) error {
-		h := proto.AppendUvarint((*head)[:0], uint64(len(b)))
-		*head = h
-		if _, err := bw.Write(h); err != nil {
-			return err
-		}
-		_, err := bw.Write(b)
-		return err
-	}
-	b := (*body)[:0]
-	b = proto.AppendUvarint(b, uint64(n.id))
-	prefix := len(b)
-	var err error
-	for _, m := range batch {
-		mark := len(b)
-		if b, err = proto.AppendMessage(b, m); err != nil {
-			*body = b
-			return err
-		}
-		if uint64(len(b)) > n.frameLimit && mark > prefix {
-			// Frame full: flush the messages before this one and move
-			// this one's bytes down into a fresh frame.
-			if err := writeFrame(b[:mark]); err != nil {
-				*body = b
-				return err
-			}
-			moved := copy(b[prefix:], b[mark:])
-			b = b[:prefix+moved]
-		}
-		if uint64(len(b)) > n.frameLimit {
-			b = b[:prefix] // oversized single message: drop
-		}
-	}
-	*body = b
-	if len(b) > prefix {
-		return writeFrame(b)
-	}
-	return nil
-}
-
-// Client is the legacy gob client: one blocking request at a time on a
-// dedicated connection. New code should use the top-level client
-// package, which pipelines requests over the binary protocol; this type
-// is kept so old binaries keep working and for cross-version tests.
-type Client struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// Dial connects a client to a node.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(&hello{From: 0}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &Client{conn: conn, enc: enc, dec: gob.NewDecoder(conn)}, nil
-}
-
-// Close closes the session.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// Execute submits a command and returns the serving shard's results.
-func (c *Client) Execute(ops ...command.Op) ([][]byte, error) {
-	if err := c.enc.Encode(&ClientRequest{Ops: ops}); err != nil {
-		return nil, err
-	}
-	var rep ClientReply
-	if err := c.dec.Decode(&rep); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, errors.New("cluster: connection closed")
-		}
-		return nil, err
-	}
-	if !rep.OK {
-		return nil, errors.New("cluster: " + rep.Error)
-	}
-	return rep.Values, nil
-}
-
-// Put writes a key.
-func (c *Client) Put(key string, value []byte) error {
-	_, err := c.Execute(command.Op{Kind: command.Put, Key: command.Key(key), Value: value})
-	return err
-}
-
-// Get reads a key.
-func (c *Client) Get(key string) ([]byte, error) {
-	vals, err := c.Execute(command.Op{Kind: command.Get, Key: command.Key(key)})
-	if err != nil {
-		return nil, err
-	}
-	if len(vals) == 0 {
-		return nil, nil
-	}
-	return vals[0], nil
 }

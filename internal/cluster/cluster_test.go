@@ -21,11 +21,6 @@ import (
 // startCluster boots r Tempo nodes on loopback and returns them with
 // their client addresses.
 func startCluster(t *testing.T, r, f int) ([]*Node, map[ids.ProcessID]string, *topology.Topology) {
-	return startClusterCodec(t, r, f, func(int) Codec { return CodecBinary })
-}
-
-// startClusterCodec boots a cluster whose node i sends with codecOf(i).
-func startClusterCodec(t *testing.T, r, f int, codecOf func(i int) Codec) ([]*Node, map[ids.ProcessID]string, *topology.Topology) {
 	t.Helper()
 	names := make([]string, r)
 	rtt := make([][]time.Duration, r)
@@ -50,13 +45,12 @@ func startClusterCodec(t *testing.T, r, f int, codecOf func(i int) Codec) ([]*No
 		addrs[pi.ID] = ln.Addr().String()
 	}
 	var nodes []*Node
-	for i, pi := range topo.Processes() {
+	for _, pi := range topo.Processes() {
 		rep := tempo.New(pi.ID, topo, tempo.Config{
 			PromiseInterval: 2 * time.Millisecond,
 			RecoveryTimeout: time.Hour,
 		})
 		n := NewNode(pi.ID, rep, addrs)
-		n.SetCodec(codecOf(i))
 		n.StartListener(lns[pi.ID])
 		nodes = append(nodes, n)
 	}
@@ -71,7 +65,7 @@ func startClusterCodec(t *testing.T, r, f int, codecOf func(i int) Codec) ([]*No
 func TestLoopbackPutGet(t *testing.T) {
 	nodes, addrs, topo := startCluster(t, 3, 1)
 	_ = nodes
-	c, err := Dial(addrs[topo.ProcessAt(0, 0)])
+	c, err := dialClient(addrs[topo.ProcessAt(0, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +84,7 @@ func TestLoopbackPutGet(t *testing.T) {
 
 func TestLoopbackCrossNodeVisibility(t *testing.T) {
 	_, addrs, topo := startCluster(t, 3, 1)
-	c0, err := Dial(addrs[topo.ProcessAt(0, 0)])
+	c0, err := dialClient(addrs[topo.ProcessAt(0, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +92,7 @@ func TestLoopbackCrossNodeVisibility(t *testing.T) {
 	if err := c0.Put("shared", []byte("from-node-0")); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Dial(addrs[topo.ProcessAt(2, 0)])
+	c2, err := dialClient(addrs[topo.ProcessAt(2, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +117,7 @@ func TestLoopbackConcurrentClients(t *testing.T) {
 			wg.Add(1)
 			go func(addr string, who int) {
 				defer wg.Done()
-				c, err := Dial(addr)
+				c, err := dialClient(addr)
 				if err != nil {
 					errs <- err
 					return
@@ -146,7 +140,7 @@ func TestLoopbackConcurrentClients(t *testing.T) {
 	// All replicas converge to the same final value.
 	var vals [][]byte
 	for site := 0; site < 3; site++ {
-		c, err := Dial(addrs[topo.ProcessAt(ids.SiteID(site), 0)])
+		c, err := dialClient(addrs[topo.ProcessAt(ids.SiteID(site), 0)])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +158,7 @@ func TestLoopbackConcurrentClients(t *testing.T) {
 
 func TestLoopbackFiveNodesF2(t *testing.T) {
 	_, addrs, topo := startCluster(t, 5, 2)
-	c, err := Dial(addrs[topo.ProcessAt(0, 0)])
+	c, err := dialClient(addrs[topo.ProcessAt(0, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,60 +174,8 @@ func TestLoopbackFiveNodesF2(t *testing.T) {
 	}
 }
 
-// TestLoopbackGobCodec keeps the legacy gob peer codec working: a
-// cross-version cluster (old binaries still gob-encode) must agree.
-func TestLoopbackGobCodec(t *testing.T) {
-	_, addrs, topo := startClusterCodec(t, 3, 1, func(int) Codec { return CodecGob })
-	c, err := Dial(addrs[topo.ProcessAt(0, 0)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Put("k", []byte("gob")); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Dial(addrs[topo.ProcessAt(2, 0)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	v, err := c2.Get("k")
-	if err != nil || !bytes.Equal(v, []byte("gob")) {
-		t.Fatalf("gob cluster get = %q, %v", v, err)
-	}
-}
-
-// TestLoopbackMixedCodecs runs a cluster where nodes disagree on their
-// send codec; receivers auto-detect from the connection prefix, so a
-// rolling upgrade from gob to binary stays available.
-func TestLoopbackMixedCodecs(t *testing.T) {
-	_, addrs, topo := startClusterCodec(t, 3, 1, func(i int) Codec {
-		if i%2 == 0 {
-			return CodecBinary
-		}
-		return CodecGob
-	})
-	c, err := Dial(addrs[topo.ProcessAt(1, 0)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Put("k", []byte("mixed")); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Dial(addrs[topo.ProcessAt(0, 0)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	v, err := c2.Get("k")
-	if err != nil || !bytes.Equal(v, []byte("mixed")) {
-		t.Fatalf("mixed cluster get = %q, %v", v, err)
-	}
-}
-
 // TestWriteBatchSplitsFrames pins the frame-budget behaviour: a batch
-// whose encoding exceeds the node's frame limit is split across frames (each
+// whose encoding exceeds the group's frame limit is split across frames (each
 // acceptable to a receiver), and a single message that can never fit is
 // dropped rather than wedging the link forever.
 func TestWriteBatchSplitsFrames(t *testing.T) {
@@ -244,17 +186,17 @@ func TestWriteBatchSplitsFrames(t *testing.T) {
 		ID:  ids.Dot{Source: 1, Seq: 99},
 		Cmd: command.NewPut(ids.Dot{Source: 1, Seq: 99}, "k", bytes.Repeat([]byte{7}, 200)),
 	}
-	var batch []proto.Message
+	var batch []groupMsg
 	for seq := uint64(1); seq <= 20; seq++ { // ~20 small messages: > one 64B frame
-		batch = append(batch, mkStable(seq))
+		batch = append(batch, groupMsg{from: 7, to: 8, msg: mkStable(seq)})
 	}
-	batch = append(batch[:10:10], append([]proto.Message{big}, batch[10:]...)...)
+	batch = append(batch[:10:10], append([]groupMsg{{from: 7, to: 8, msg: big}}, batch[10:]...)...)
 
-	n := &Node{id: 7, frameLimit: 64}
+	g := &Group{frameLimit: 64}
 	var out bytes.Buffer
 	bw := bufio.NewWriter(&out)
 	var head, body []byte
-	if err := n.writeBatch(bw, nil, batch, &head, &body); err != nil {
+	if err := g.writeGroupBatch(bw, batch, &head, &body); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -270,19 +212,22 @@ func TestWriteBatchSplitsFrames(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if size > n.frameLimit {
-			t.Fatalf("frame body %d exceeds budget %d", size, n.frameLimit)
+		if size > g.frameLimit {
+			t.Fatalf("frame body %d exceeds budget %d", size, g.frameLimit)
 		}
 		frames++
 		buf := make([]byte, size)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			t.Fatal(err)
 		}
-		from, b, err := proto.ReadUvarint(buf)
-		if err != nil || from != 7 {
-			t.Fatalf("frame from = %d, %v", from, err)
-		}
-		for len(b) > 0 {
+		for b := buf; len(b) > 0; {
+			var from, to uint64
+			if from, b, err = proto.ReadUvarint(b); err != nil || from != 7 {
+				t.Fatalf("record from = %d, %v", from, err)
+			}
+			if to, b, err = proto.ReadUvarint(b); err != nil || to != 8 {
+				t.Fatalf("record to = %d, %v", to, err)
+			}
 			var msg proto.Message
 			if msg, b, err = proto.DecodeMessage(b); err != nil {
 				t.Fatal(err)
@@ -306,7 +251,7 @@ func TestWriteBatchSplitsFrames(t *testing.T) {
 
 func TestClientErrors(t *testing.T) {
 	_, addrs, topo := startCluster(t, 3, 1)
-	c, err := Dial(addrs[topo.ProcessAt(0, 0)])
+	c, err := dialClient(addrs[topo.ProcessAt(0, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +259,7 @@ func TestClientErrors(t *testing.T) {
 	if _, err := c.Execute(); err == nil {
 		t.Fatal("empty command should fail")
 	}
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := dialClient("127.0.0.1:1"); err == nil {
 		t.Fatal("dialing a dead address should fail")
 	}
 }

@@ -11,14 +11,14 @@ import (
 	"tempo/internal/proto"
 )
 
-// Cross-shard serving (the version-2 client protocol).
+// Client serving, single- and cross-shard.
 //
 // A multi-shard command is ordered independently by every shard it
 // accesses and executes, at every replica of each accessed shard, at the
 // maximum timestamp across those shards (Algorithm 3 of the paper); each
 // shard's execution produces only that shard's result segment. The
-// version-2 protocol makes the full result reachable from the client
-// with no extra round trip on the submission path:
+// client protocol makes the full result reachable from the client with
+// no extra round trip on the submission path:
 //
 //   - The session pre-mints a block of command ids from any replica
 //     (ReqMint — the ids come out of the replica's ordinary Dot
@@ -38,93 +38,6 @@ import (
 // commands never park — their results always have a registered waiter
 // or nobody to answer.
 
-// clientHost serves client connections over a set of locally hosted
-// nodes: a standalone Node hosts itself; a Group hosts one node per
-// locally replicated shard and routes each request to the right one.
-type clientHost interface {
-	// routeSubmit picks the node serving a plain submission. legacy
-	// marks version-1 connections, which keep their historical
-	// pass-through semantics on standalone nodes.
-	routeSubmit(ops []command.Op, legacy bool) (*Node, command.WireError)
-	// nodeForShard returns the local node replicating shard s, or nil.
-	nodeForShard(s ids.ShardID) *Node
-	// mintNode returns the node whose Dot sequence serves ReqMint.
-	mintNode() *Node
-	// localNodes returns every hosted node (for the teardown sweep).
-	localNodes() []*Node
-	// trackClientConn registers a live connection; false means the host
-	// is shutting down and the caller must drop the connection.
-	trackClientConn(cc *clientConn) bool
-	// untrackClientConn removes a connection from the host's set.
-	untrackClientConn(cc *clientConn)
-	// maxFrame bounds inbound client frame bodies (the host's
-	// corruption guard).
-	maxFrame() uint64
-}
-
-// Node as a clientHost: it hosts exactly itself.
-
-// routeSubmit implements clientHost. Version-2 submissions are checked
-// against the replica's shard map: ops of a foreign shard are rejected
-// as ErrCodeWrongShard, ops spanning shards as ErrCodeCrossShard (the
-// client must use the submit-at/watch path to get a merged result).
-// Version-1 connections keep the historical behavior — submit whatever
-// arrives — so old binaries against single-shard clusters are
-// untouched.
-func (n *Node) routeSubmit(ops []command.Op, legacy bool) (*Node, command.WireError) {
-	if legacy || n.sharder == nil {
-		return n, command.WireError{}
-	}
-	s, ok := n.sharder.OpsShard(ops)
-	if !ok {
-		return nil, command.WireError{Code: command.ErrCodeCrossShard,
-			Msg: "operations span shards; use cross-shard submission"}
-	}
-	if n.hasShard && s != n.shard {
-		return nil, wrongShardErr(s)
-	}
-	return n, command.WireError{}
-}
-
-// nodeForShard implements clientHost.
-func (n *Node) nodeForShard(s ids.ShardID) *Node {
-	if n.hasShard && s != n.shard {
-		return nil
-	}
-	return n
-}
-
-// mintNode implements clientHost.
-func (n *Node) mintNode() *Node { return n }
-
-// localNodes implements clientHost.
-func (n *Node) localNodes() []*Node { return []*Node{n} }
-
-// trackClientConn implements clientHost. The done check shares ccMu
-// with Close's sweep, so either the registration is visible to Close or
-// the shutdown is visible here.
-func (n *Node) trackClientConn(cc *clientConn) bool {
-	n.ccMu.Lock()
-	defer n.ccMu.Unlock()
-	select {
-	case <-n.done:
-		return false
-	default:
-	}
-	n.clientConns[cc] = struct{}{}
-	return true
-}
-
-// untrackClientConn implements clientHost.
-func (n *Node) untrackClientConn(cc *clientConn) {
-	n.ccMu.Lock()
-	delete(n.clientConns, cc)
-	n.ccMu.Unlock()
-}
-
-// maxFrame implements clientHost.
-func (n *Node) maxFrame() uint64 { return n.frameLimit }
-
 // sweepConn claims every waiter still pending for a gone connection
 // (there is no one left to reply to) and drops fully-claimed commands.
 func (n *Node) sweepConn(cc *clientConn) {
@@ -143,60 +56,35 @@ func (n *Node) sweepConn(cc *clientConn) {
 	n.waitMu.Unlock()
 }
 
-// serveClientStream runs one binary-protocol client connection against
-// a host: requests are submitted with id-tagged waiters and completed
+// serveClientStream runs one client connection against a group:
+// requests are submitted with id-tagged waiters and completed
 // asynchronously, so any number of requests from one connection are in
-// flight at once, across every node the host serves.
-func serveClientStream(h clientHost, conn net.Conn, br *bufio.Reader, v2 bool) {
+// flight at once, across every node the group hosts.
+func serveClientStream(g *Group, conn net.Conn, br *bufio.Reader) {
 	cc := &clientConn{
-		host: h,
+		g:    g,
 		conn: conn,
 		dead: make(chan struct{}),
 		kick: make(chan struct{}, 1),
 	}
-	if !h.trackClientConn(cc) {
+	if !g.trackClientConn(cc) {
 		conn.Close()
 		return
 	}
 	go cc.writeLoop()
 	defer cc.abandon()
-	limit := h.maxFrame()
 	var buf []byte
 	for {
-		body, err := ReadFrame(br, limit, &buf)
-		if err != nil {
+		body, err := ReadFrame(br, g.frameLimit, &buf)
+		if err != nil || !serveRequest(g, cc, body) {
 			return
 		}
-		if v2 {
-			if !serveRequest2(h, cc, body) {
-				return
-			}
-			continue
-		}
-		reqID, deadline, ops, err := DecodeClientRequest(body)
-		if err != nil {
-			return
-		}
-		if len(ops) == 0 {
-			cc.reply(reqID, command.WireError{Code: command.ErrCodeBadRequest, Msg: "empty command"}, nil)
-			continue
-		}
-		n, werr := h.routeSubmit(ops, true)
-		if werr.Code != command.ErrCodeNone {
-			cc.reply(reqID, werr, nil)
-			continue
-		}
-		w := &waiter{cc: cc, reqID: reqID}
-		if deadline > 0 {
-			w.deadline = time.Now().Add(deadline)
-		}
-		n.submit(w, ops)
 	}
 }
 
-// serveRequest2 dispatches one version-2 request frame. It reports
-// false on a protocol error (the connection must be dropped).
-func serveRequest2(h clientHost, cc *clientConn, body []byte) bool {
+// serveRequest dispatches one request frame. It reports false on a
+// protocol error (the connection must be dropped).
+func serveRequest(g *Group, cc *clientConn, body []byte) bool {
 	req, err := DecodeClientRequest2(body)
 	if err != nil {
 		return false
@@ -217,7 +105,7 @@ func serveRequest2(h clientHost, cc *clientConn, body []byte) bool {
 			badReq("empty command")
 			return true
 		}
-		n, werr := h.routeSubmit(req.Ops, false)
+		n, werr := g.routeSubmit(req.Ops)
 		if werr.Code != command.ErrCodeNone {
 			cc.reply(req.ReqID, werr, nil)
 			return true
@@ -228,14 +116,15 @@ func serveRequest2(h clientHost, cc *clientConn, body []byte) bool {
 			badReq("mint count out of range")
 			return true
 		}
-		first := h.mintNode().mintBlock(int(req.Count))
+		// Id blocks come from the first hosted node's Dot sequence.
+		first := g.list[0].mintBlock(int(req.Count))
 		cc.reply(req.ReqID, command.WireError{}, AppendMintReply(first))
 	case ReqSubmitAt:
 		if len(req.Ops) == 0 || req.ID.IsZero() {
 			badReq("cross-shard submission needs ops and an id")
 			return true
 		}
-		n := h.nodeForShard(req.Shard)
+		n := g.byShard[req.Shard]
 		if n == nil {
 			cc.reply(req.ReqID, wrongShardErr(req.Shard), nil)
 			return true
@@ -246,7 +135,7 @@ func serveRequest2(h clientHost, cc *clientConn, body []byte) bool {
 			badReq("watch needs an id")
 			return true
 		}
-		n := h.nodeForShard(req.Shard)
+		n := g.byShard[req.Shard]
 		if n == nil {
 			cc.reply(req.ReqID, wrongShardErr(req.Shard), nil)
 			return true

@@ -80,24 +80,20 @@ func TestWatchAfterExecutionParked(t *testing.T) {
 	k1 := shardedKey(t, topo, 1, "pk1")
 	id := gateway.mintBlock(1)
 
-	// Submit cross-shard via the gateway with a legacy-channel waiter.
-	w := &waiter{ch: make(chan *ClientReply, 1)}
+	// Submit cross-shard via the gateway.
+	w, br := pipeWaiter(t, time.Time{})
 	gateway.submitCmdAt(id, w, []command.Op{
 		{Kind: command.Put, Key: k0, Value: []byte("v0")},
 		{Kind: command.Put, Key: k1, Value: []byte("v1")},
 		{Kind: command.Get, Key: k1},
 	})
-	select {
-	case rep := <-w.ch:
-		if !rep.OK {
-			t.Fatalf("gateway reply: %s", rep.Error)
-		}
-		// The gateway serves shard 0: exactly the k0 put's nil result.
-		if len(rep.Values) != 1 {
-			t.Fatalf("gateway returned %d values, want 1 (its own shard's segment)", len(rep.Values))
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("gateway submission timed out")
+	_, werr, vals := readReply(t, br)
+	if werr.Code != command.ErrCodeNone {
+		t.Fatalf("gateway reply: %+v", werr)
+	}
+	// The gateway serves shard 0: exactly the k0 put's nil result.
+	if len(vals) != 1 {
+		t.Fatalf("gateway returned %d values, want 1 (its own shard's segment)", len(vals))
 	}
 
 	// Wait until the sibling replica executed and parked the result (no
@@ -118,18 +114,14 @@ func TestWatchAfterExecutionParked(t *testing.T) {
 
 	// The late watch completes immediately from the parked buffer with
 	// shard 1's segment: the k1 put (nil) and the k1 get ("v1").
-	lw := &waiter{ch: make(chan *ClientReply, 1)}
+	lw, lbr := pipeWaiter(t, time.Time{})
 	sibling.watch(lw, id)
-	select {
-	case rep := <-lw.ch:
-		if !rep.OK {
-			t.Fatalf("late watch reply: %s", rep.Error)
-		}
-		if len(rep.Values) != 2 || rep.Values[0] != nil || string(rep.Values[1]) != "v1" {
-			t.Fatalf("late watch values = %q, want [nil, v1]", rep.Values)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("late watch did not complete from the parked result")
+	_, werr, vals = readReply(t, lbr)
+	if werr.Code != command.ErrCodeNone {
+		t.Fatalf("late watch reply: %+v", werr)
+	}
+	if len(vals) != 2 || vals[0] != nil || string(vals[1]) != "v1" {
+		t.Fatalf("late watch values = %q, want [nil, v1]", vals)
 	}
 	// The parked entry is consumed: a second watch would wait for a
 	// (never-coming) re-execution instead of double-delivering.
@@ -154,18 +146,13 @@ func TestSubmitAtDuplicateSubmitsOnce(t *testing.T) {
 		{Kind: command.Put, Key: k0, Value: []byte("v")},
 		{Kind: command.Put, Key: k1, Value: []byte("v")},
 	}
-	w1 := &waiter{ch: make(chan *ClientReply, 1)}
-	w2 := &waiter{ch: make(chan *ClientReply, 1)}
+	w1, br1 := pipeWaiter(t, time.Time{})
+	w2, br2 := pipeWaiter(t, time.Time{})
 	gateway.submitCmdAt(id, w1, ops)
 	gateway.submitCmdAt(id, w2, ops) // retry: same id
-	for i, w := range []*waiter{w1, w2} {
-		select {
-		case rep := <-w.ch:
-			if !rep.OK {
-				t.Fatalf("waiter %d: %s", i, rep.Error)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("waiter %d timed out", i)
+	for i, br := range []*bufio.Reader{br1, br2} {
+		if _, werr, _ := readReply(t, br); werr.Code != command.ErrCodeNone {
+			t.Fatalf("waiter %d: %+v", i, werr)
 		}
 	}
 	if got := gateway.Stats().CrossSubmitted; got != 1 {
@@ -173,18 +160,15 @@ func TestSubmitAtDuplicateSubmitsOnce(t *testing.T) {
 	}
 }
 
-// dialV2 opens a raw version-2 client connection.
+// dialV2 opens a raw client connection.
 func dialV2(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	c, err := dialClient(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write(ClientMagic2[:]); err != nil {
-		t.Fatal(err)
-	}
-	return conn, bufio.NewReader(conn)
+	t.Cleanup(func() { c.Close() })
+	return c.conn, c.br
 }
 
 func readReply(t *testing.T, br *bufio.Reader) (uint64, command.WireError, [][]byte) {

@@ -103,8 +103,7 @@ type durability struct {
 }
 
 // SyncMagic prefixes state-catch-up connections from a restarting peer
-// (see the sync protocol in durable.go). Like the other magics, the
-// leading 0xFF cannot begin a gob stream.
+// (see the sync protocol below).
 var SyncMagic = [4]byte{0xFF, 'T', 'Y', 1}
 
 // SetDurable enables persistence. Call before Start; the replica must
@@ -346,13 +345,14 @@ func tsPointLess(aTS uint64, aID ids.Dot, bTS uint64, bID ids.Dot) bool {
 //
 // One frame each way on a fresh connection to the shared listen port:
 //
-//	request:  SyncMagic || frame( wmTS, wmID.Source, wmID.Seq )
+//	request:  SyncMagic || frame( wmTS, wmID.Source, wmID.Seq, from )
 //	reply:    frame( 0 )                      — requester is up to date
 //	          frame( 1 || snapshot bytes )    — kvstore snapshot (embeds
 //	                                            the replier's applied WM)
 //
-// Any node can answer (the snapshot is read under the store's own lock,
-// concurrent with its executor); only restarting durable nodes ask.
+// Any node of the requester's shard can answer (the snapshot is read
+// under the store's own lock, concurrent with its executor); a request
+// from a process the answering group does not know is dropped.
 
 // syncFromPeers asks every peer replicating this node's shard for a
 // state snapshot newer than ours, installing each improvement before
@@ -454,18 +454,18 @@ func fetchPeerSnapshot(addr string, from ids.ProcessID, wmTS uint64, wmID ids.Do
 }
 
 // syncRequest is one decoded state-catch-up request: the requester's
-// applied watermark plus (in sharded deployments) the requesting
-// process, which identifies the shard whose state is wanted.
+// applied watermark plus the requesting process, which identifies the
+// shard whose state is wanted.
 //
 //tempo:wire encode=- decode=readSyncRequest
 type syncRequest struct {
 	TS   uint64
 	ID   ids.Dot
-	From ids.ProcessID // 0 when sent by an old single-shard binary
+	From ids.ProcessID
 }
 
 // readSyncRequest reads and decodes the one request frame of a sync
-// connection. The From field is absent in frames from old binaries.
+// connection.
 func readSyncRequest(conn net.Conn, br *bufio.Reader, limit uint64) (syncRequest, bool) {
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 	var buf []byte
@@ -485,24 +485,12 @@ func readSyncRequest(conn net.Conn, br *bufio.Reader, limit uint64) (syncRequest
 		return r, false
 	}
 	r.ID = ids.Dot{Source: ids.ProcessID(src), Seq: seq}
-	if len(body) > 0 { // optional requester id (sharded deployments)
-		var from uint64
-		if from, _, err = proto.ReadUvarint(body); err != nil {
-			return r, false
-		}
-		r.From = ids.ProcessID(from)
+	var from uint64
+	if from, _, err = proto.ReadUvarint(body); err != nil {
+		return r, false
 	}
+	r.From = ids.ProcessID(from)
 	return r, true
-}
-
-// serveSync answers one state-catch-up request (see the protocol note
-// above).
-func (n *Node) serveSync(conn net.Conn, br *bufio.Reader) {
-	req, ok := readSyncRequest(conn, br, n.frameLimit)
-	if !ok {
-		return
-	}
-	n.answerSync(conn, req)
 }
 
 // answerSync ships a snapshot if ours is newer than the requester's

@@ -124,7 +124,7 @@ func (dc *durableCluster) restart(id ids.ProcessID) {
 
 func (dc *durableCluster) put(id ids.ProcessID, key, val string) {
 	dc.t.Helper()
-	c, err := Dial(dc.addrs[id])
+	c, err := dialClient(dc.addrs[id])
 	if err != nil {
 		dc.t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func (dc *durableCluster) put(id ids.ProcessID, key, val string) {
 
 func (dc *durableCluster) get(id ids.ProcessID, key string) string {
 	dc.t.Helper()
-	c, err := Dial(dc.addrs[id])
+	c, err := dialClient(dc.addrs[id])
 	if err != nil {
 		dc.t.Fatal(err)
 	}

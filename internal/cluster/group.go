@@ -14,30 +14,32 @@ import (
 	"tempo/internal/proto"
 )
 
-// dialPeerTimeout bounds peer-link dials (same as node-owned links).
-const dialPeerTimeout = 2 * time.Second
+const (
+	// maxWriteBatch bounds how many queued messages one frame coalesces.
+	maxWriteBatch = 512
+	// dialPeerTimeout bounds peer-link dials.
+	dialPeerTimeout = 2 * time.Second
+	// magicTimeout bounds how long an accepted connection may take to
+	// announce its dialect; every dialer writes the 4-byte magic right
+	// after connecting, so a connection still silent by then is dropped
+	// instead of pinning a goroutine and a socket forever.
+	magicTimeout = 2 * time.Second
+	// linkQueueLen is the queue depth one hosted node gets: its in-process
+	// queue holds that many messages, and the queue of a site link, which
+	// multiplexes every hosted node's traffic, that many per hosted node.
+	// A queue only has to absorb what piles up while its writer is in a
+	// syscall — under the benchmark's saturating workloads the deepest
+	// queue to a live peer reached 94 messages — and beyond it messages
+	// drop, which the protocols' retry machinery covers and which is all
+	// that can happen to traffic for a dead peer anyway. Deeper is not
+	// free: the queues are allocated on the boot and first-send paths,
+	// the latter under the protocol lock.
+	linkQueueLen = 2048
+)
 
-// Group hosts one Node per locally replicated shard behind a single
-// listener and a single set of peer links — the deployment unit of
-// partial replication: one tempo-server process per site, serving every
-// shard that site replicates.
-//
-// Outbound protocol traffic from every hosted node funnels through the
-// group (each node's Transport): messages to co-hosted shards take an
-// in-process queue, messages to remote sites share one link per remote
-// address, with the same coalesced frame batching as node-owned links.
-// Group frames carry (from, to) per message, so one connection
-// multiplexes every shard pair between two sites — including the
-// cross-shard stability signals (MStable) and commit fan-out that make
-// multi-shard commands execute.
-//
-// Inbound, the shared listener demultiplexes by magic prefix: group
-// peer frames to the addressed node, client connections to a router
-// that picks the hosted node by the request's shard, and state-sync
-// requests to the local replica of the requester's shard.
-//
-// GroupMagic prefixes inter-group peer links. Like the other magics,
-// the leading 0xFF cannot begin a gob stream.
+// GroupMagic prefixes peer links, the one transport between processes:
+// each frame is a sequence of (from, to, message) records, so one
+// connection multiplexes every process pair between two addresses.
 var GroupMagic = [4]byte{0xFF, 'T', 'G', 1}
 
 // groupMsg is one queued protocol message between two processes.
@@ -46,9 +48,29 @@ type groupMsg struct {
 	msg      proto.Message
 }
 
-// Group is the shared runtime for the nodes of one site. Create with
-// NewGroup, add nodes, then StartListener + node StartHosted calls +
-// SetReady (the psmr package wraps this sequence).
+// Group hosts one Node per locally replicated shard behind a single
+// listener and a single set of peer links — the deployment unit of
+// partial replication: one tempo-server process per site, serving every
+// shard that site replicates. A standalone Node is the degenerate case,
+// a private Group of one (Node.StartListener).
+//
+// Outbound protocol traffic from every hosted node funnels through the
+// group (each node's Transport): messages to co-hosted shards take an
+// in-process queue, messages to remote sites share one link per remote
+// address, coalesced into batched frames. Group frames carry (from, to)
+// per message, so one connection multiplexes every shard pair between
+// two sites — including the cross-shard stability signals (MStable) and
+// commit fan-out that make multi-shard commands execute.
+//
+// Inbound, the shared listener demultiplexes by magic prefix: group
+// peer frames to the addressed node, client connections to a router
+// that picks the hosted node by the request's shard, state-sync
+// requests to the local replica of the requester's shard, and
+// configuration requests to the membership view.
+//
+// Create with NewGroup, add nodes, then StartListener + node StartHosted
+// calls + SetReady (the psmr package and Node.StartListener run this
+// sequence).
 type Group struct {
 	addrs   map[ids.ProcessID]string      // every process -> its site's address
 	shardOf map[ids.ProcessID]ids.ShardID // every process -> its shard
@@ -68,6 +90,12 @@ type Group struct {
 	out    map[string]chan groupMsg        // per remote address
 	localQ map[ids.ProcessID]chan groupMsg // per hosted node
 
+	// conns tracks live client connections so Close can fail their read
+	// loops instead of stranding clients. peerConns tracks inbound peer
+	// connections for the same reason: a closed group must stop consuming
+	// protocol traffic, or peers would keep talking to a zombie instead
+	// of redialing its successor (an in-process restart; a killed
+	// process loses its sockets anyway).
 	ccMu      sync.Mutex
 	conns     map[*clientConn]struct{}
 	peerConns map[net.Conn]struct{}
@@ -107,7 +135,7 @@ func (g *Group) AddNode(n *Node) {
 	g.nodes[n.id] = n
 	g.byShard[n.shard] = n
 	g.list = append(g.list, n)
-	q := make(chan groupMsg, 8192)
+	q := make(chan groupMsg, linkQueueLen)
 	g.localQ[n.id] = q
 	go g.localLoop(n, q)
 }
@@ -140,8 +168,7 @@ func (g *Group) SetReady() { g.ready.Store(true) }
 // Close tears the shared runtime down: the listener, every tracked
 // connection, and the outbound links. Hosted nodes are closed by the
 // caller first, so their shutdown replies are already queued on the
-// client connections when the sockets go away (best effort, as with a
-// standalone node).
+// client connections when the sockets go away (best effort).
 func (g *Group) Close() {
 	g.closed.Do(func() {
 		close(g.done)
@@ -207,7 +234,7 @@ func (g *Group) forward(from, to ids.ProcessID, msg proto.Message) {
 	g.outMu.Lock()
 	ch, ok := g.out[addr]
 	if !ok {
-		ch = make(chan groupMsg, 8192)
+		ch = make(chan groupMsg, linkQueueLen*len(g.list))
 		g.out[addr] = ch
 		go g.writer(addr, ch)
 	}
@@ -220,8 +247,8 @@ func (g *Group) forward(from, to ids.ProcessID, msg proto.Message) {
 
 // localLoop drains one hosted node's in-process inbound queue,
 // delivering runs of same-origin messages in one batch. Delivery waits
-// for the node to finish recovery (ready), mirroring how a standalone
-// node rejects peer traffic until then; pre-ready messages drop.
+// for the node to finish recovery (ready), as for frames off the wire;
+// pre-ready messages drop.
 func (g *Group) localLoop(n *Node, q chan groupMsg) {
 	var batch []proto.Message
 	for {
@@ -257,9 +284,13 @@ func (g *Group) localLoop(n *Node, q chan groupMsg) {
 }
 
 // writer drains one remote address's outbound queue over a (re)dialed
-// connection, coalescing everything queued at wake-up into framed
-// writes, exactly like a node's own peer writer but with (from, to)
-// multiplexing records.
+// connection, coalescing everything queued at wake-up into one framed,
+// buffered write: a protocol step or tick that fans out many messages to
+// the same site costs one syscall, not one encode+write per message. A
+// failed dial or write drops the batch — the protocol's liveness
+// machinery retries — and the next batch redials. An epoch that rebinds
+// a peer's slot to a new address (node replacement) redirects traffic
+// without a restart, because forward resolves the address per message.
 func (g *Group) writer(addr string, ch chan groupMsg) {
 	var conn net.Conn
 	var bw *bufio.Writer
@@ -364,17 +395,18 @@ func (g *Group) writeGroupBatch(bw *bufio.Writer, batch []groupMsg, head, body *
 	return nil
 }
 
-// serveConn demultiplexes one inbound connection by magic prefix. The
-// gob protocols are not served by groups (they predate sharded
-// deployments); a single-node group still answers plain peerMagic links
-// for mixed deployments of one shard.
+// serveConn demultiplexes one inbound connection by its magic prefix,
+// one of exactly four dialects; anything else — an unknown magic, or no
+// magic within magicTimeout — is closed.
 func (g *Group) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	var magic [4]byte
+	conn.SetReadDeadline(time.Now().Add(magicTimeout))
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return
 	}
+	conn.SetReadDeadline(time.Time{})
 	switch magic {
 	case GroupMagic:
 		if !g.trackPeerConn(conn) {
@@ -382,20 +414,11 @@ func (g *Group) serveConn(conn net.Conn) {
 		}
 		defer g.untrackPeerConn(conn)
 		g.servePeer(br)
-	case peerMagic:
-		if len(g.list) == 1 {
-			n := g.list[0]
-			if !n.ready.Load() || !g.trackPeerConn(conn) {
-				return
-			}
-			defer g.untrackPeerConn(conn)
-			n.serveBinaryPeer(br)
-		}
-	case ClientMagic, ClientMagic2:
+	case ClientMagic2:
 		if !g.ready.Load() {
 			return // mid-recovery: sessions fail over to live sites
 		}
-		serveClientStream(g, conn, br, magic == ClientMagic2)
+		serveClientStream(g, conn, br)
 	case SyncMagic:
 		g.serveSync(conn, br)
 	case membership.ConfigMagic:
@@ -405,8 +428,7 @@ func (g *Group) serveConn(conn net.Conn) {
 
 // servePeer streams group frames, delivering runs of same-(from, to)
 // messages to the addressed node in one batch. Frames for nodes still
-// recovering (or not hosted here) drop, as a standalone node drops peer
-// connections until ready.
+// recovering (or not hosted here) drop; peers resend once it serves.
 func (g *Group) servePeer(br *bufio.Reader) {
 	var buf []byte
 	var msgs []proto.Message
@@ -450,26 +472,18 @@ func (g *Group) servePeer(br *bufio.Reader) {
 }
 
 // serveSync routes a state-catch-up request to the local replica of the
-// requester's shard (the request names the requesting process; old
-// single-shard requests without one are only answerable by single-node
-// groups).
+// requester's shard. The requester must be a known process: an unknown
+// (or zero) pid would map to the zero shard and be handed the wrong
+// state machine, so its request is dropped.
 func (g *Group) serveSync(conn net.Conn, br *bufio.Reader) {
 	req, ok := readSyncRequest(conn, br, g.frameLimit)
 	if !ok {
 		return
 	}
-	var n *Node
-	if req.From != 0 {
-		// The requester must be a known process: an unknown pid would
-		// map to the zero shard and be handed the wrong state machine.
-		if shard, ok := g.shardOfPid(req.From); ok {
-			n = g.byShard[shard]
+	if shard, ok := g.shardOfPid(req.From); ok {
+		if n := g.byShard[shard]; n != nil {
+			n.answerSync(conn, req)
 		}
-	} else if len(g.list) == 1 {
-		n = g.list[0]
-	}
-	if n != nil {
-		n.answerSync(conn, req)
 	}
 }
 
@@ -491,13 +505,11 @@ func (g *Group) untrackPeerConn(conn net.Conn) {
 	g.ccMu.Unlock()
 }
 
-// Group as a clientHost: requests route to the hosted node of their
-// shard.
-
-// routeSubmit implements clientHost. Groups are younger than the
-// version-2 protocol, so cross-shard ops are rejected on both protocol
-// versions — a merged result needs submit-at/watch.
-func (g *Group) routeSubmit(ops []command.Op, legacy bool) (*Node, command.WireError) {
+// routeSubmit picks the hosted node serving a plain submission: ops of
+// a shard no hosted node replicates are rejected as ErrCodeWrongShard,
+// ops spanning shards as ErrCodeCrossShard — a merged result needs
+// submit-at/watch. Engines without a shard map take whatever arrives.
+func (g *Group) routeSubmit(ops []command.Op) (*Node, command.WireError) {
 	sharder := g.list[0].sharder
 	if sharder == nil {
 		return g.list[0], command.WireError{}
@@ -513,17 +525,11 @@ func (g *Group) routeSubmit(ops []command.Op, legacy bool) (*Node, command.WireE
 	return nil, wrongShardErr(s)
 }
 
-// nodeForShard implements clientHost.
-func (g *Group) nodeForShard(s ids.ShardID) *Node { return g.byShard[s] }
-
-// mintNode implements clientHost: id blocks come from the first hosted
-// node's Dot sequence.
-func (g *Group) mintNode() *Node { return g.list[0] }
-
-// localNodes implements clientHost.
-func (g *Group) localNodes() []*Node { return g.list }
-
-// trackClientConn implements clientHost.
+// trackClientConn registers a live client connection so Close can tear
+// it down; false means the group is shutting down and the caller must
+// drop the connection. The done check shares ccMu with Close's sweep,
+// so either the registration is visible to Close or the shutdown is
+// visible here.
 func (g *Group) trackClientConn(cc *clientConn) bool {
 	g.ccMu.Lock()
 	defer g.ccMu.Unlock()
@@ -536,12 +542,8 @@ func (g *Group) trackClientConn(cc *clientConn) bool {
 	return true
 }
 
-// untrackClientConn implements clientHost.
 func (g *Group) untrackClientConn(cc *clientConn) {
 	g.ccMu.Lock()
 	delete(g.conns, cc)
 	g.ccMu.Unlock()
 }
-
-// maxFrame implements clientHost.
-func (g *Group) maxFrame() uint64 { return g.frameLimit }

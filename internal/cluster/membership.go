@@ -40,17 +40,6 @@ func (n *Node) Epoch() uint64 {
 	return n.view.Epoch()
 }
 
-// addrOf resolves a peer's current serving address: through the view
-// when one is installed (so epoch installs re-route traffic without a
-// restart), else the static map. "" means unroutable — fenced or
-// unknown — and traffic toward the peer drops.
-func (n *Node) addrOf(to ids.ProcessID) string {
-	if n.view != nil {
-		return n.view.State().Addrs[to]
-	}
-	return n.addrs[to]
-}
-
 // peerAddrs is the current address map (the view's epoch or the
 // static one); the state-sync and config fan-out paths iterate it.
 func (n *Node) peerAddrs() map[ids.ProcessID]string {
@@ -68,34 +57,8 @@ func (n *Node) fenced(pid ids.ProcessID) bool {
 	return n.view != nil && n.view.State().Fenced(pid)
 }
 
-// serveMembership answers one configuration-protocol request (see the
-// wire protocol note in internal/membership). It is served even
-// before the node is ready: joiners fetch configs and frontier
-// answers from peers regardless of their recovery phase, exactly like
-// the state-sync protocol.
-func (n *Node) serveMembership(conn net.Conn, br *bufio.Reader) {
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	req, err := membership.ReadRequest(br)
-	if err != nil {
-		return
-	}
-	switch req.Kind {
-	case membership.KindFetch, membership.KindPush:
-		if n.view == nil {
-			return // statically wired: no configuration to serve
-		}
-		if req.Kind == membership.KindPush {
-			installPushed(n.view, req.Cfg, fmt.Sprintf("node %d", n.id))
-		}
-		membership.WriteConfigReply(conn, n.view.State().Config)
-	case membership.KindFrontier:
-		clock, seq, ok := n.Frontier(req.Subject)
-		membership.WriteFrontierReply(conn, ok, clock, seq)
-	}
-}
-
 // installPushed adopts a pushed config if newer, logging epoch
-// transitions and rejections (shared by Node and Group serving).
+// transitions and rejections.
 func installPushed(v *membership.View, cfg *membership.Config, who string) {
 	installed, err := v.Install(cfg)
 	if err != nil {
@@ -132,7 +95,7 @@ func (n *Node) SetJoinFloor(clock, seq uint64) {
 	n.joinClock, n.joinSeq = clock, seq
 }
 
-// applyJoinFloor raises the replica's clock and id floors; startCore
+// applyJoinFloor raises the replica's clock and id floors; StartHosted
 // calls it before the node goes ready.
 func (n *Node) applyJoinFloor() {
 	if n.joinClock == 0 && n.joinSeq == 0 {
@@ -214,8 +177,9 @@ type LinkState struct {
 	// LastRecvUnixMS is when traffic from the peer last arrived at this
 	// node (Unix milliseconds; 0 means never).
 	LastRecvUnixMS int64 `json:"last_recv_unix_ms"`
-	// QueueDepth is the outbound queue depth toward the peer on
-	// node-owned links (group-hosted nodes report 0; see Group.Links).
+	// QueueDepth is the depth of the outbound queue toward the peer's
+	// address on a standalone node's links (peers sharing an address
+	// share the queue; group-hosted nodes report 0, see Group.Links).
 	QueueDepth int `json:"queue_depth"`
 }
 
@@ -237,13 +201,16 @@ func (n *Node) Links() map[ids.ProcessID]LinkState {
 		out[pid] = LinkState{LastRecvUnixMS: t}
 	}
 	n.linkMu.Unlock()
-	n.outMu.Lock()
-	for pid, ch := range n.out {
-		ls := out[pid]
-		ls.QueueDepth = len(ch)
-		out[pid] = ls
+	if n.own != nil {
+		depth := n.own.Links()
+		for pid, addr := range n.peerAddrs() {
+			if d, ok := depth[addr]; ok {
+				ls := out[pid]
+				ls.QueueDepth = d
+				out[pid] = ls
+			}
+		}
 	}
-	n.outMu.Unlock()
 	return out
 }
 
@@ -288,9 +255,12 @@ func (g *Group) shardOfPid(pid ids.ProcessID) (ids.ShardID, bool) {
 	return s, ok
 }
 
-// serveMembership answers configuration requests on the shared
-// listener; frontier queries route to the hosted node replicating the
-// subject's shard.
+// serveMembership answers one configuration-protocol request on the
+// shared listener (see the wire protocol note in internal/membership);
+// frontier queries route to the hosted node replicating the subject's
+// shard. It is served even before the group is ready: joiners fetch
+// configs and frontier answers from peers regardless of their recovery
+// phase, exactly like the state-sync protocol.
 func (g *Group) serveMembership(conn net.Conn, br *bufio.Reader) {
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 	req, err := membership.ReadRequest(br)

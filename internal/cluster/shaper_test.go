@@ -206,7 +206,7 @@ func TestClusterUnderShaper(t *testing.T) {
 		n.SetShaper(sh)
 	})
 	_ = nodes
-	c, err := Dial(addrs[topo.ProcessAt(0, 0)])
+	c, err := dialClient(addrs[topo.ProcessAt(0, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // The same implementation generalized to multiple shards — per-shard
 // dependency collection, union of per-shard dependencies, and non-genuine
 // commit broadcast — is the paper's improved Janus baseline ("Janus*",
-// §6), constructed by internal/janus.
+// §6): VariantAtlas with Config.NonGenuineCommit.
 //
 // Commands are committed with explicit dependency sets and executed by the
 // strongly-connected-component executor of internal/depgraph; this is the

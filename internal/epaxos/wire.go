@@ -1,8 +1,6 @@
 package epaxos
 
 import (
-	"encoding/gob"
-
 	"tempo/internal/command"
 	"tempo/internal/ids"
 	"tempo/internal/proto"
@@ -36,14 +34,6 @@ func init() {
 	proto.RegisterWire(tagECommit, decodeECommit)
 	proto.RegisterWire(tagECommitReq, decodeECommitReq)
 
-	// Concrete-type registrations for the legacy gob peer codec.
-	gob.Register(&ESubmit{})
-	gob.Register(&EPreAccept{})
-	gob.Register(&EPreAcceptAck{})
-	gob.Register(&EAccept{})
-	gob.Register(&EAcceptAck{})
-	gob.Register(&ECommit{})
-	gob.Register(&ECommitReq{})
 }
 
 // --- shared field helpers ---
@@ -84,7 +74,7 @@ func readDots(b []byte) ([]ids.Dot, []byte, error) {
 	if err != nil || n > uint64(len(b)) {
 		return nil, b, proto.ErrCorrupt
 	}
-	var deps []ids.Dot // nil when empty, matching gob
+	var deps []ids.Dot // nil when empty, so decode∘encode is the identity
 	if n > 0 {
 		deps = make([]ids.Dot, n)
 	}
@@ -141,7 +131,7 @@ func readQuorums(b []byte) (Quorums, []byte, error) {
 		if k, b, err = proto.ReadUvarint(b); err != nil || k > uint64(len(b)) {
 			return nil, b, proto.ErrCorrupt
 		}
-		var ps []ids.ProcessID // nil when empty, matching gob
+		var ps []ids.ProcessID // nil when empty, so decode∘encode is the identity
 		if k > 0 {
 			ps = make([]ids.ProcessID, k)
 		}

@@ -1,8 +1,6 @@
 package fpaxos
 
 import (
-	"encoding/gob"
-
 	"tempo/internal/command"
 	"tempo/internal/ids"
 	"tempo/internal/proto"
@@ -32,12 +30,6 @@ func init() {
 	proto.RegisterWire(tagFCommit, decodeFCommit)
 	proto.RegisterWire(tagFSlotReq, decodeFSlotReq)
 
-	// Concrete-type registrations for the legacy gob peer codec.
-	gob.Register(&FForward{})
-	gob.Register(&FAccept{})
-	gob.Register(&FAcceptAck{})
-	gob.Register(&FCommit{})
-	gob.Register(&FSlotReq{})
 }
 
 // --- shared field helpers ---
@@ -57,7 +49,7 @@ func readCmds(b []byte) ([]*command.Command, []byte, error) {
 	if err != nil || n > uint64(len(b)) {
 		return nil, b, proto.ErrCorrupt
 	}
-	var cmds []*command.Command // nil when empty, matching gob
+	var cmds []*command.Command // nil when empty, so decode∘encode is the identity
 	if n > 0 {
 		cmds = make([]*command.Command, n)
 	}

@@ -19,8 +19,8 @@ import (
 
 // Message is a protocol message. Concrete types live in each protocol
 // package; runtimes treat them opaquely (the cluster runtime serializes
-// them with gob, so all message types must be gob-encodable and
-// registered).
+// them through the binary codec of wire.go, so every message type must
+// implement BinaryMessage and register its decoder).
 type Message interface {
 	// Size returns an approximate wire size in bytes, used by the
 	// simulator's network model.

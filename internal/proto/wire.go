@@ -8,14 +8,12 @@ import (
 
 // Binary wire codec
 //
-// The cluster runtime originally gob-encoded every envelope, paying
-// reflection and type-descriptor costs on every send. The binary codec
-// replaces that on the hot path: each message type implements
-// BinaryMessage with a hand-rolled, varint-based, append-style encoder
-// (zero allocations when the caller reuses the destination buffer), and
-// registers a matching decoder under a one-byte tag. Framing for the
-// cluster transport lives in internal/cluster; this file owns the
-// per-message layer: tag dispatch plus shared varint primitives.
+// Each message type implements BinaryMessage with a hand-rolled,
+// varint-based, append-style encoder (zero allocations when the caller
+// reuses the destination buffer), and registers a matching decoder
+// under a one-byte tag. Framing for the cluster transport lives in
+// internal/cluster; this file owns the per-message layer: tag dispatch
+// plus shared varint primitives.
 
 // ErrCorrupt reports undecodable wire data (truncated buffer, unknown
 // tag, varint overflow).
@@ -42,7 +40,7 @@ type WireDecoder func(b []byte) (Message, []byte, error)
 var wireDecoders [256]WireDecoder
 
 // RegisterWire registers the decoder for a message tag. It panics on
-// duplicate registration, like gob.RegisterName.
+// duplicate registration.
 func RegisterWire(tag byte, dec WireDecoder) {
 	if wireDecoders[tag] != nil {
 		panic(fmt.Sprintf("proto: wire tag %d registered twice", tag))

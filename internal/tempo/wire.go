@@ -1,8 +1,6 @@
 package tempo
 
 import (
-	"encoding/gob"
-
 	"tempo/internal/command"
 	"tempo/internal/ids"
 	"tempo/internal/proto"
@@ -10,8 +8,8 @@ import (
 
 // Binary wire codec for the Tempo messages: hand-rolled, varint-based,
 // append-style encoders (proto.BinaryMessage) plus registered decoders.
-// The cluster runtime uses it instead of gob on peer links; encodings
-// are deterministic (Quorums maps are serialized in shard order), so
+// The cluster runtime's peer links carry it; encodings are
+// deterministic (Quorums maps are serialized in shard order), so
 // decode∘encode is the identity on bytes — pinned by TestCodecRoundTrip
 // and FuzzCodecRoundTrip.
 
@@ -50,23 +48,6 @@ func init() {
 	proto.RegisterWire(tagMPromises, decodeMPromises)
 	proto.RegisterWire(tagMStable, decodeMStable)
 
-	// Concrete-type registrations for the legacy gob peer codec; each
-	// engine registers its own messages so the cluster runtime stays
-	// protocol-agnostic.
-	gob.Register(&MSubmit{})
-	gob.Register(&MPayload{})
-	gob.Register(&MPropose{})
-	gob.Register(&MProposeAck{})
-	gob.Register(&MBump{})
-	gob.Register(&MCommit{})
-	gob.Register(&MConsensus{})
-	gob.Register(&MConsensusAck{})
-	gob.Register(&MRec{})
-	gob.Register(&MRecAck{})
-	gob.Register(&MRecNAck{})
-	gob.Register(&MCommitRequest{})
-	gob.Register(&MPromises{})
-	gob.Register(&MStable{})
 }
 
 // --- shared field helpers ---
@@ -135,7 +116,7 @@ func readQuorums(b []byte) (Quorums, []byte, error) {
 		if k, b, err = proto.ReadUvarint(b); err != nil || k > uint64(len(b)) {
 			return nil, b, proto.ErrCorrupt
 		}
-		var ps []ids.ProcessID // nil when empty, matching gob
+		var ps []ids.ProcessID // nil when empty, so decode∘encode is the identity
 		if k > 0 {
 			ps = make([]ids.ProcessID, k)
 		}

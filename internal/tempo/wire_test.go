@@ -2,7 +2,6 @@ package tempo
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -10,25 +9,6 @@ import (
 	"tempo/internal/ids"
 	"tempo/internal/proto"
 )
-
-func init() {
-	// The binary codec's reference implementation for the equivalence
-	// tests. Registration is idempotent for identical types.
-	gob.Register(&MSubmit{})
-	gob.Register(&MPayload{})
-	gob.Register(&MPropose{})
-	gob.Register(&MProposeAck{})
-	gob.Register(&MBump{})
-	gob.Register(&MCommit{})
-	gob.Register(&MConsensus{})
-	gob.Register(&MConsensusAck{})
-	gob.Register(&MRec{})
-	gob.Register(&MRecAck{})
-	gob.Register(&MRecNAck{})
-	gob.Register(&MCommitRequest{})
-	gob.Register(&MPromises{})
-	gob.Register(&MStable{})
-}
 
 func sampleCmd() *command.Command {
 	c := command.New(ids.Dot{Source: 3, Seq: 41},
@@ -102,85 +82,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecSmallerThanGob pins the size claim: the binary encoding of
-// every sample message is smaller than its gob envelope encoding (gob's
-// per-stream type descriptors excluded — each message is encoded on a
-// fresh stream, as the legacy per-connection encoder amortizes them but
-// every new connection repays them).
-func TestCodecSmallerThanGob(t *testing.T) {
-	var totalBin, totalGob int
-	for _, m := range sampleMessages() {
-		bin, err := proto.AppendMessage(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var g bytes.Buffer
-		if err := gob.NewEncoder(&g).Encode(&m); err != nil {
-			t.Fatalf("%T: gob: %v", m, err)
-		}
-		if len(bin) >= g.Len() {
-			t.Errorf("%T: binary %dB >= gob %dB", m, len(bin), g.Len())
-		}
-		totalBin += len(bin)
-		totalGob += g.Len()
-	}
-	t.Logf("total encoded size: binary %dB, gob %dB (%.1fx)",
-		totalBin, totalGob, float64(totalGob)/float64(totalBin))
-}
-
-// gobRoundTrip passes a message through gob via the proto.Message
-// interface, as the legacy cluster codec does.
-func gobRoundTrip(t *testing.T, m proto.Message) proto.Message {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-		t.Fatalf("gob encode %T: %v", m, err)
-	}
-	var out proto.Message
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("gob decode %T: %v", m, err)
-	}
-	return out
-}
-
-// gobLossless reports whether gob preserves the message exactly. gob
-// flattens pointers, so a non-nil *Command whose value is the zero
-// Command decodes as nil — a gob wart the binary codec does not share.
-func gobLossless(m proto.Message) bool {
-	switch v := m.(type) {
-	case *MSubmit:
-		return v.Cmd == nil || !reflect.DeepEqual(*v.Cmd, command.Command{})
-	case *MPayload:
-		return v.Cmd == nil || !reflect.DeepEqual(*v.Cmd, command.Command{})
-	case *MPropose:
-		return v.Cmd == nil || !reflect.DeepEqual(*v.Cmd, command.Command{})
-	}
-	return true
-}
-
-// TestCodecGobEquivalence checks that the two codecs agree on every
-// sample message.
-func TestCodecGobEquivalence(t *testing.T) {
-	for _, m := range sampleMessages() {
-		bin, err := proto.AppendMessage(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binDec, _, err := proto.DecodeMessage(bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gobDec := gobRoundTrip(t, m)
-		if !reflect.DeepEqual(binDec, gobDec) {
-			t.Fatalf("%T: binary %+v != gob %+v", m, binDec, gobDec)
-		}
-	}
-}
-
-// FuzzCodecRoundTrip fuzzes the decoder with raw bytes: anything that
-// decodes must re-encode byte-identically, decode back DeepEqual, and
-// agree with a gob round trip (the legacy codec), for every registered
-// message type.
+// FuzzCodecRoundTrip fuzzes the decoder with raw bytes: corrupt input
+// must be rejected without a panic, and anything that decodes must
+// re-encode canonically (byte-identical) and decode back DeepEqual, for
+// every registered message type.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, m := range sampleMessages() {
 		b, err := proto.AppendMessage(nil, m)
@@ -210,14 +115,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil || !bytes.Equal(b1, b2) {
 			t.Fatalf("%T encoding not canonical", msg)
 		}
-		if gobLossless(msg) {
-			if g := gobRoundTrip(t, msg); !reflect.DeepEqual(msg, g) {
-				t.Fatalf("gob disagrees for %T:\n  %+v\n  %+v", msg, msg, g)
-			}
-		}
 	})
 }
 
-// BenchmarkCodec (binary vs gob) lives in the repository-level
+// BenchmarkCodec lives in the repository-level
 // bench_test.go, backed by internal/bench's micro harness so `bench
 // -exp micro` emits the same numbers to BENCH_micro.json.
