@@ -5,7 +5,7 @@ GO ?= go
 ## (the container has no module proxy access).
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: ci fmt vet lint doc-check build benchmark-check test test-race conformance bench-smoke fuzz-smoke bench-micro bench-cluster bench-fault bench-shard bench-wan bench-compare bench-reconfig soak soak-short FORCE
+.PHONY: ci fmt vet lint doc-check build benchmark-check test flatness test-race conformance bench-smoke fuzz-smoke bench-micro bench-cluster bench-fault bench-shard bench-wan bench-compare bench-reconfig soak soak-short FORCE
 
 ## ci: the main CI job, in order (the race and bench-smoke jobs run in
 ## parallel in the workflow)
@@ -49,8 +49,18 @@ build:
 benchmark-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
+## test: every package's tests, the memory-flatness test included (only
+## `go test -short` skips it), so `make ci` fails when per-command state
+## outlives the in-flight window again
 test:
 	$(GO) test ./...
+
+## flatness: the memory-flatness test alone — a 3-node loopback cluster
+## serves N then 2N commands and must hold the same heap and zero live
+## commands after each; on failure it leaves a heap profile and prints
+## its path
+flatness:
+	$(GO) test -run 'TestMemoryFlat' -count=1 -v ./internal/cluster/
 
 ## test-race: the full suite under the race detector (the client demux
 ## loop and the server completion path are concurrency-heavy)

@@ -147,6 +147,9 @@ type Node struct {
 	// applies them to the state machine and completes waiters — the
 	// critical section shrinks to pure protocol state.
 	defRep proto.DeferredApplier
+	// gcRep is the replica's collection gauges, nil when the engine has
+	// none (see sampleGC).
+	gcRep proto.GCReporter
 	//tempo:guard
 	execMu   sync.Mutex
 	execQ    []proto.Stable
@@ -209,6 +212,7 @@ func NewNode(id ids.ProcessID, rep proto.Replica, addrs map[ids.ProcessID]string
 	if sr, ok := rep.(interface{ Shard() ids.ShardID }); ok {
 		n.shard, n.hasShard = sr.Shard(), true
 	}
+	n.gcRep, _ = rep.(proto.GCReporter)
 	return n
 }
 
@@ -731,6 +735,7 @@ func (n *Node) tickLoop() {
 			n.mu.Lock()
 			acts := n.rep.Tick(time.Since(start))
 			n.afterStepLocked(acts)
+			n.sampleGC()
 			n.mu.Unlock()
 			now := time.Now()
 			n.expireWaiters(now)

@@ -1,6 +1,10 @@
 package cluster
 
-import "tempo/internal/metrics"
+import (
+	"sync/atomic"
+
+	"tempo/internal/metrics"
+)
 
 // nodeStats are the serving counters a node maintains on its hot paths
 // (metrics.Counter: lock-free, incremented where the work happens,
@@ -14,6 +18,24 @@ type nodeStats struct {
 	watches        metrics.Counter // watch registrations served
 	batchFlushes   metrics.Counter // submit batches flushed
 	batchedOps     metrics.Counter // client ops that rode those batches
+
+	// Collection gauges of a proto.GCReporter replica, sampled by the
+	// tick loop while it holds n.mu anyway so Stats never takes the
+	// protocol lock.
+	liveCmds  atomic.Int64
+	gcLagTS   atomic.Uint64
+	gcLagRank atomic.Uint32
+}
+
+// sampleGC refreshes the collection gauges. Callers hold n.mu.
+func (n *Node) sampleGC() {
+	if n.gcRep == nil {
+		return
+	}
+	live, lag, holder := n.gcRep.GCStats()
+	n.stat.liveCmds.Store(int64(live))
+	n.stat.gcLagTS.Store(lag)
+	n.stat.gcLagRank.Store(uint32(holder))
 }
 
 // Stats is a point-in-time snapshot of a node's serving counters,
@@ -43,6 +65,18 @@ type Stats struct {
 	// Pending is the number of commands awaiting execution with live
 	// client waiters.
 	Pending int `json:"pending"`
+	// LiveCmds is the number of commands the replica holds protocol state
+	// for: those in flight plus those executed here that some replica of
+	// the shard has not executed yet. Zero for engines that do not report
+	// it (proto.GCReporter).
+	LiveCmds int `json:"live_cmds"`
+	// GCLagTS is how far, in logical timestamps, this replica's executed
+	// watermark is ahead of the lowest one in its shard — what holds
+	// LiveCmds up when it grows — and GCLagRank the shard-local rank
+	// reporting that lowest watermark (a rank never heard from counts as
+	// watermark zero).
+	GCLagTS   uint64 `json:"gc_lag_ts"`
+	GCLagRank uint32 `json:"gc_lag_rank"`
 }
 
 // Stats snapshots the node's serving counters.
@@ -62,5 +96,8 @@ func (n *Node) Stats() Stats {
 		BatchedOps:     n.stat.batchedOps.Load(),
 		ExecQueue:      execQ,
 		Pending:        n.pendingCmds(),
+		LiveCmds:       int(n.stat.liveCmds.Load()),
+		GCLagTS:        n.stat.gcLagTS.Load(),
+		GCLagRank:      n.stat.gcLagRank.Load(),
 	}
 }

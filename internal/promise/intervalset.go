@@ -32,6 +32,16 @@ func (s *IntervalSet) AddRange(lo, hi uint64) {
 	if lo > hi {
 		return
 	}
+	// Promises and forgotten sequence numbers mostly arrive in ascending
+	// order: extend or follow the last interval without searching.
+	if n := len(s.iv); n > 0 && lo > s.iv[n-1].hi {
+		if lo == s.iv[n-1].hi+1 {
+			s.iv[n-1].hi = hi
+		} else {
+			s.iv = append(s.iv, interval{lo, hi})
+		}
+		return
+	}
 	// Find the first interval that could merge with [lo, hi]: the first
 	// with iv.hi >= lo-1 (adjacency merges too).
 	lom := lo

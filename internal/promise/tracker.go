@@ -22,6 +22,11 @@ type Attached struct {
 // Detached promises are incorporated immediately; attached promises only
 // once their command is known to be committed (the caller signals commits
 // via Committed). Attached promises received earlier are buffered.
+//
+// Per-command bookkeeping (pending, committed) lives only while a command
+// is in flight: once it is executed everywhere the caller calls Forget,
+// which moves the id into the compact forgotten set. The promise
+// intervals themselves are retained (they are compressed).
 type Tracker struct {
 	r       int
 	perRank []*IntervalSet // rank-1 indexed
@@ -37,9 +42,16 @@ type Tracker struct {
 	// pending holds attached promises whose command is not yet committed
 	// locally, keyed by command id.
 	pending map[ids.Dot][]Attached
-	// committed remembers command ids whose attached promises may be
-	// incorporated.
+	// committed remembers the in-flight command ids whose attached
+	// promises may be incorporated.
 	committed map[ids.Dot]struct{}
+	// forgotten holds the ids passed to Forget, as one set of sequence
+	// numbers per source process. A process's commands are forgotten in
+	// nearly the order it minted them, so a source whose every command
+	// reaches this tracker collapses to one interval; a source seen only
+	// now and then (a sibling shard's coordinator) costs one interval per
+	// command.
+	forgotten map[ids.ProcessID]*IntervalSet
 }
 
 // NewTracker creates a tracker for a replica group of r processes.
@@ -51,6 +63,7 @@ func NewTracker(r int) *Tracker {
 		scratch:   make([]uint64, r),
 		pending:   make(map[ids.Dot][]Attached),
 		committed: make(map[ids.Dot]struct{}),
+		forgotten: make(map[ids.ProcessID]*IntervalSet),
 	}
 	for i := range t.perRank {
 		t.perRank[i] = &IntervalSet{}
@@ -88,11 +101,13 @@ func (t *Tracker) AddDetachedPairs(rank ids.Rank, pairs []uint64) {
 }
 
 // AddAttached records an attached promise. If the command is already known
-// committed the promise is incorporated immediately; otherwise it is
-// buffered until Committed is called for the command. It returns true if
-// the promise was incorporated and false if buffered.
+// committed (or forgotten: a peer keeps advertising a promise until it
+// learns the command executed everywhere) the promise is incorporated
+// immediately; otherwise it is buffered until Committed is called for the
+// command. It returns true if the promise was incorporated and false if
+// buffered.
 func (t *Tracker) AddAttached(a Attached) bool {
-	if _, ok := t.committed[a.ID]; ok {
+	if t.IsCommitted(a.ID) {
 		t.perRank[a.Owner-1].Add(a.TS)
 		t.refresh(a.Owner)
 		return true
@@ -104,7 +119,7 @@ func (t *Tracker) AddAttached(a Attached) bool {
 // Committed marks a command as committed (or executed), releasing any
 // buffered attached promises for it (line 47 of Algorithm 2).
 func (t *Tracker) Committed(id ids.Dot) {
-	if _, ok := t.committed[id]; ok {
+	if t.IsCommitted(id) {
 		return
 	}
 	t.committed[id] = struct{}{}
@@ -115,10 +130,34 @@ func (t *Tracker) Committed(id ids.Dot) {
 	delete(t.pending, id)
 }
 
-// IsCommitted reports whether the tracker has been told id is committed.
+// IsCommitted reports whether the tracker has been told id is committed,
+// whether or not it was forgotten since.
 func (t *Tracker) IsCommitted(id ids.Dot) bool {
 	_, ok := t.committed[id]
-	return ok
+	return ok || t.Forgotten(id)
+}
+
+// Forgotten reports whether Forget was called for id.
+func (t *Tracker) Forgotten(id ids.Dot) bool {
+	s := t.forgotten[id.Source]
+	return s != nil && s.Contains(id.Seq)
+}
+
+// InFlight returns the number of per-command entries the tracker holds:
+// commands marked committed and not yet forgotten, and commands with
+// buffered attached promises.
+func (t *Tracker) InFlight() (committed, pending int) {
+	return len(t.committed), len(t.pending)
+}
+
+// ForgottenIntervals returns how many intervals the forgotten set
+// stores over all sources: its memory, at 16 bytes each.
+func (t *Tracker) ForgottenIntervals() int {
+	n := 0
+	for _, s := range t.forgotten {
+		n += s.NumIntervals()
+	}
+	return n
 }
 
 // PendingIDs returns the ids with buffered attached promises: commands
@@ -170,11 +209,17 @@ func (t *Tracker) Stable() uint64 {
 	return t.stable
 }
 
-// Forget drops commit bookkeeping for a command once its attached
-// promises can no longer arrive (after global execution); it bounds the
-// committed map. The promise intervals themselves are retained (they are
-// compressed).
+// Forget drops the per-command bookkeeping of a command that executed at
+// every process of the shard. The id stays known as committed through the
+// forgotten set, so an attached promise that arrives later is still
+// incorporated rather than buffered.
 func (t *Tracker) Forget(id ids.Dot) {
 	delete(t.committed, id)
 	delete(t.pending, id)
+	s := t.forgotten[id.Source]
+	if s == nil {
+		s = &IntervalSet{}
+		t.forgotten[id.Source] = s
+	}
+	s.Add(id.Seq)
 }

@@ -123,12 +123,40 @@ func TestHighestContiguousPerRank(t *testing.T) {
 	}
 }
 
+// TestForget pins what survives a command's per-command bookkeeping:
+// the id stays known as committed, so a late attached promise is
+// incorporated and a late Committed is a no-op, while the maps empty and
+// a source forgotten in minting order costs one interval.
 func TestForget(t *testing.T) {
 	tr := NewTracker(3)
-	id := dot(1, 1)
+	for seq := uint64(1); seq <= 100; seq++ {
+		id := dot(1, int(seq))
+		tr.AddAttached(Attached{Owner: 1, ID: id, TS: seq})
+		tr.Committed(id)
+		tr.Forget(id)
+	}
+	tr.Forget(dot(2, 7)) // a source seen once
+	if c, p := tr.InFlight(); c != 0 || p != 0 {
+		t.Fatalf("InFlight = (%d, %d) after forgetting everything", c, p)
+	}
+	if n := tr.ForgottenIntervals(); n != 2 {
+		t.Fatalf("forgotten set has %d intervals, want 2", n)
+	}
+	id := dot(1, 50)
+	if !tr.Forgotten(id) || !tr.IsCommitted(id) {
+		t.Fatal("forgotten command must stay known as committed")
+	}
+	if tr.Forgotten(dot(1, 101)) || tr.IsCommitted(dot(2, 6)) {
+		t.Fatal("ids never forgotten reported as forgotten")
+	}
+	if !tr.AddAttached(Attached{Owner: 2, ID: id, TS: 9}) {
+		t.Fatal("late attached promise for a forgotten command must be incorporated")
+	}
 	tr.Committed(id)
-	tr.Forget(id)
-	if tr.IsCommitted(id) {
-		t.Error("forgotten command should not be committed")
+	if c, p := tr.InFlight(); c != 0 || p != 0 {
+		t.Fatalf("late messages recreated bookkeeping: InFlight = (%d, %d)", c, p)
+	}
+	if got := tr.Max(2); got != 9 {
+		t.Fatalf("late promise not recorded: max for rank 2 is %d", got)
 	}
 }

@@ -176,6 +176,18 @@ type LeaderAware interface {
 	SetLeader(rank ids.Rank)
 }
 
+// GCReporter is implemented by replicas that keep per-command state until
+// every replica of the shard has executed the command, and so can say
+// which replica is pinning memory: liveCmds is the number of commands
+// state is held for, lagTS how far this replica's executed watermark is
+// ahead of the lowest one it knows of in the shard (in logical
+// timestamps), and holder the rank reporting that lowest watermark (this
+// replica's own rank when nobody is behind it). Called under the
+// runtime's protocol lock.
+type GCReporter interface {
+	GCStats() (liveCmds int, lagTS uint64, holder ids.Rank)
+}
+
 // Crashable is implemented by replicas that support fail-stop crash
 // injection in tests; after Crash, the runtime stops delivering messages
 // to and from the replica.

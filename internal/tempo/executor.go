@@ -78,6 +78,7 @@ func (p *Process) advanceExecution() []proto.Action {
 	}
 	// Execute ready commands in order; a multi-shard head blocks until
 	// every accessed shard signalled stability (line 102).
+	logged := p.executed.len()
 	for len(p.ready) > 0 {
 		td := p.ready[0]
 		ci := p.cmds[td.id]
@@ -90,6 +91,11 @@ func (p *Process) advanceExecution() []proto.Action {
 		}
 		p.execute(td, ci)
 		p.ready = p.ready[1:]
+	}
+	if p.executed.len() != logged {
+		// The own watermark moved; when this process was the slowest of
+		// the shard (or is all of it) that releases commands.
+		p.collectExecuted()
 	}
 	return acts
 }
@@ -139,9 +145,12 @@ func (p *Process) stableAtAllShards(ci *cmdInfo) bool {
 // snapshot or replayed log covering it, see Restore); re-delivered
 // history — e.g. a commit replay answering an MCommitRequest after a
 // restart emptied the tracker's committed set — only moves the phase, so
-// nothing is applied twice.
+// nothing is applied twice. Either way the command joins the execution
+// log, whose prefix collectExecuted releases; a replayed one sits behind
+// newer entries and goes as soon as they do.
 func (p *Process) execute(td tsDot, ci *cmdInfo) {
 	ci.phase = PhaseExecute
+	p.executed.push(td)
 	point := TSWatermark{TS: td.ts, ID: td.id}
 	if !p.executedWM.less(point) {
 		return // at or below the watermark: executed before a restart

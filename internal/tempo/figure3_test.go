@@ -69,16 +69,16 @@ func TestFigure3TimestampStability(t *testing.T) {
 
 	// Attached promises match the figure (checking the proposers' own
 	// records).
-	if procs[A].attachedOwn[w.ID] != 1 || procs[B].attachedOwn[w.ID] != 2 {
+	if procs[A].ownAttached(w.ID) != 1 || procs[B].ownAttached(w.ID) != 2 {
 		t.Error("w attached promises should be <A,1>,<B,2>")
 	}
-	if procs[A].attachedOwn[x.ID] != 2 {
+	if procs[A].ownAttached(x.ID) != 2 {
 		t.Error("x attached promise should be <A,2>")
 	}
-	if procs[B].attachedOwn[y.ID] != 1 || procs[C].attachedOwn[y.ID] != 2 {
+	if procs[B].ownAttached(y.ID) != 1 || procs[C].ownAttached(y.ID) != 2 {
 		t.Error("y attached promises should be <B,1>,<C,2>")
 	}
-	if procs[C].attachedOwn[z.ID] != 1 || procs[A].attachedOwn[z.ID] != 3 {
+	if procs[C].ownAttached(z.ID) != 1 || procs[A].ownAttached(z.ID) != 3 {
 		t.Error("z attached promises should be <C,1>,<A,3>")
 	}
 

@@ -56,7 +56,7 @@ func (p *Process) ObservedFrom(pid ids.ProcessID) (clock, seq uint64) {
 // incarnation's promises can never be completed: detached ranges it
 // skipped but did not gossip before dying, and attached promises of
 // commands that will never commit, leave permanent holes in the rank's
-// contiguous frontier — and gcPromises only ever folds a process's OWN
+// contiguous frontier — and collection only ever folds a process's OWN
 // attached promises into its detached set, so no survivor can fill
 // them. Left uncovered, each replacement permanently freezes one
 // rank's frontier; after f+1 replacements the Theorem 1 median is

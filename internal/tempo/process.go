@@ -2,7 +2,6 @@ package tempo
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -40,10 +39,10 @@ type Config struct {
 	// RecoveryTimeout/4; commit requests are also rate-limited per
 	// command at this interval.
 	CommitRequestDelay time.Duration
-	// RetainLog keeps per-command state after it becomes garbage-
-	// collectable (globally executed). Tests and debugging tools use it;
-	// production deployments should leave it off so memory stays
-	// bounded.
+	// RetainLog keeps the cmdInfo of a command after it is collected
+	// (executed at every replica of the shard; see collectExecuted).
+	// Tests and debugging tools use it; production deployments should
+	// leave it off so memory stays bounded.
 	RetainLog bool
 }
 
@@ -99,7 +98,8 @@ type cmdInfo struct {
 	commitVals   []uint64
 	finalTS      uint64
 	// attachedMine is this process's own attached promise for the
-	// command (0 if it never proposed).
+	// command: 0 if it never proposed, and again once collection folded
+	// the promise into the detached set.
 	attachedMine uint64
 
 	// Execution state (multi-shard): shards that signalled stability.
@@ -209,22 +209,22 @@ type Process struct {
 
 	clock    uint64
 	detached *promise.IntervalSet // own detached promises (for broadcast)
-	// attachedOwn holds this process's attached promises not yet folded
-	// into the detached set. attachedSorted mirrors it sorted by command
-	// id; new promises land in attachedFresh with an O(1) append and are
-	// merged in at the next broadcast or GC sweep (attachedMerge is the
-	// spare merge buffer). The per-command work stays constant and the
-	// periodic MPromises broadcast pays one O(fresh log fresh + total)
-	// merge instead of re-sorting the whole set — cheaper than the
-	// sort.Slice it replaced even under an overload backlog.
-	attachedOwn    map[ids.Dot]uint64
-	attachedSorted []AttachedWire
-	attachedFresh  []AttachedWire
-	attachedMerge  []AttachedWire
-	tracker        *promise.Tracker
+	// attached queues this process's attached promises for the MPromises
+	// gossip, in the order they were issued — ascending timestamps, since
+	// every proposal moves the clock. The promise itself lives in the
+	// command's cmdInfo.attachedMine; an entry whose command no longer
+	// holds it (folded by collect) is dead and dropped when a broadcast
+	// next scans past it.
+	attached fifo[AttachedWire]
+	tracker  *promise.Tracker
 
-	cmds    map[ids.Dot]*cmdInfo
-	nextSeq uint64
+	// cmds holds every command between the first message that names it
+	// and its collection. pendingQ lists, in creation order, the ids
+	// that may still be pending, for periodicRecovery; prunePending drops
+	// the ones that committed, whenever the queue's array is full.
+	cmds     map[ids.Dot]*cmdInfo
+	pendingQ []ids.Dot
+	nextSeq  uint64
 	// seenSeq[rank-1] is the highest command-sequence number observed
 	// from the rank's process — the id half of the membership frontier
 	// (see ObservedFrom).
@@ -237,8 +237,14 @@ type Process struct {
 	committed  tsDotHeap
 	ready      []tsDot // stable commands waiting (in order) for execution
 	executedWM TSWatermark
-	peerWM     map[ids.Rank]TSWatermark
-	store      *kvstore.Store
+	// executed logs the commands this process executed and still holds
+	// state for, in execution order; collectExecuted pops the prefix that
+	// every replica of the shard has executed. peerWM[rank-1] is the
+	// executed watermark last gossiped by that rank (zero until it
+	// reports; the own slot is unused).
+	executed fifo[tsDot]
+	peerWM   []TSWatermark
+	store    *kvstore.Store
 	// executedOut collects inline executions; in deferred-apply mode
 	// stableOut collects execution-stable commands for the runtime to
 	// apply off the protocol lock instead (see proto.DeferredApplier).
@@ -270,6 +276,7 @@ var _ proto.Replica = (*Process)(nil)
 var _ proto.LeaderAware = (*Process)(nil)
 var _ proto.Crashable = (*Process)(nil)
 var _ proto.DeferredApplier = (*Process)(nil)
+var _ proto.GCReporter = (*Process)(nil)
 
 // New creates the Tempo replica for process id within the topology.
 func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
@@ -287,10 +294,9 @@ func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
 		cfg:             cfg.withDefaults(),
 		shardProcs:      topo.ShardProcesses(pi.Shard),
 		detached:        &promise.IntervalSet{},
-		attachedOwn:     make(map[ids.Dot]uint64),
 		tracker:         promise.NewTracker(topo.R()),
 		cmds:            make(map[ids.Dot]*cmdInfo),
-		peerWM:          make(map[ids.Rank]TSWatermark),
+		peerWM:          make([]TSWatermark, topo.R()),
 		uncommittedSeen: make(map[ids.Dot]time.Duration),
 		lastCommitReq:   make(map[ids.Dot]time.Duration),
 		rankToProc:      make([]ids.ProcessID, topo.R()),
@@ -451,10 +457,11 @@ func (p *Process) route(acts []proto.Action) []proto.Action {
 }
 
 func (p *Process) handle(from ids.ProcessID, msg proto.Message) []proto.Action {
-	// A command whose state was garbage-collected after global execution
-	// is done here; late messages for it (e.g. a commit replay answering
-	// an old MCommitRequest) must not recreate state, or the command
-	// would execute twice.
+	// A command whose state was collected after it executed everywhere is
+	// done here; late messages for it (e.g. a commit replay answering an
+	// old MCommitRequest) must not recreate state, or the command would
+	// execute twice. The remaining per-command messages only look state
+	// up, so they fall through to handlers that find none.
 	var id ids.Dot
 	switch m := msg.(type) {
 	case *MPayload:
@@ -471,7 +478,7 @@ func (p *Process) handle(from ids.ProcessID, msg proto.Message) []proto.Action {
 		id = m.ID
 	}
 	if !id.IsZero() {
-		if _, live := p.cmds[id]; !live && p.tracker.IsCommitted(id) {
+		if _, live := p.cmds[id]; !live && p.tracker.Forgotten(id) {
 			return nil
 		}
 	}
@@ -524,15 +531,30 @@ func (p *Process) info(id ids.Dot) *cmdInfo {
 		ci.phase = PhaseStart
 		ci.enqueued = p.now
 		p.cmds[id] = ci
+		if len(p.pendingQ) == cap(p.pendingQ) {
+			p.prunePending() // before append grows the array
+		}
+		p.pendingQ = append(p.pendingQ, id)
 	}
 	return ci
 }
 
-// collect removes a command's state and recycles it through the pool.
-func (p *Process) collect(id ids.Dot, ci *cmdInfo) {
-	delete(p.cmds, id)
-	ci.reset()
-	p.ciPool.Put(ci)
+// prunePending drops from pendingQ the commands that are past the
+// pending phases (or collected), keeping the order of the rest. info
+// prunes only when the array is full, and the array doubles when a prune
+// frees less than half of it, so pruning costs O(1) per command and the
+// queue stays within twice the most commands ever pending at once,
+// whatever the recovery period.
+func (p *Process) prunePending() {
+	kept := p.pendingQ[:0]
+	for _, id := range p.pendingQ {
+		// PhaseStart is a command known only by an MCommit, MConsensus or
+		// MStable so far: not pending yet, but it may become so.
+		if ci := p.cmds[id]; ci != nil && (ci.phase.pending() || ci.phase == PhaseStart) {
+			kept = append(kept, id)
+		}
+	}
+	p.pendingQ = kept
 }
 
 // learnPayload records the payload and quorums if not yet known.
@@ -594,8 +616,7 @@ func (p *Process) onMPropose(from ids.ProcessID, m *MPropose) []proto.Action {
 	p.learnPayload(ci, m.Cmd, m.Quorums)
 	ci.phase = PhasePropose
 	lo := p.clock + 1
-	ci.ts = p.proposal(m.ID, m.TS)
-	ci.attachedMine = ci.ts
+	ci.ts = p.proposal(m.ID, ci, m.TS)
 	ack := &MProposeAck{ID: m.ID, TS: ci.ts}
 	if hi := ci.ts - 1; lo <= hi {
 		ack.DetachedLo, ack.DetachedHi = lo, hi
@@ -615,77 +636,43 @@ func (p *Process) onMPropose(from ids.ProcessID, m *MPropose) []proto.Action {
 
 // proposal implements lines 34-39: computes a timestamp proposal, records
 // the attached promise and the detached promises below it, and bumps the
-// clock.
-func (p *Process) proposal(id ids.Dot, m uint64) uint64 {
+// clock. A command proposes at most once (the callers' phase checks).
+func (p *Process) proposal(id ids.Dot, ci *cmdInfo, m uint64) uint64 {
 	t := max64(m, p.clock+1)
 	if lo := p.clock + 1; lo <= t-1 {
 		p.addOwnDetached(lo, t-1)
 	}
-	p.addOwnAttached(id, t)
+	ci.attachedMine = t
+	p.attached.push(AttachedWire{ID: id, TS: t})
 	p.clock = t
 	return t
 }
 
-// cmpAttachedID orders AttachedWire entries by command id (the broadcast
-// order of MPromises.Attached).
-func cmpAttachedID(a AttachedWire, id ids.Dot) int {
-	if a.ID.Less(id) {
-		return -1
+// gossipAttached returns a copy of the oldest live attached promises, at
+// most limit, for one MPromises. The dead entries it scans past are
+// dropped from the queue for good, so a broadcast costs O(limit) plus
+// O(1) per promise folded since the last one — no sweep of the whole set.
+func (p *Process) gossipAttached(limit int) []AttachedWire {
+	q := p.attached.live()
+	if len(q) == 0 {
+		return nil
 	}
-	if id.Less(a.ID) {
-		return 1
-	}
-	return 0
-}
-
-// addOwnAttached records an attached promise: O(1) on the hot path (an
-// append to the fresh tail), with ordering restored lazily by
-// foldFreshAttached at broadcast/GC time.
-func (p *Process) addOwnAttached(id ids.Dot, t uint64) {
-	if _, ok := p.attachedOwn[id]; ok {
-		p.attachedOwn[id] = t
-		// Rare (a command proposes once): refresh whichever view holds
-		// the entry.
-		if i, found := slices.BinarySearchFunc(p.attachedSorted, id, cmpAttachedID); found {
-			p.attachedSorted[i].TS = t
-			return
-		}
-		for i := range p.attachedFresh {
-			if p.attachedFresh[i].ID == id {
-				p.attachedFresh[i].TS = t
-				return
-			}
-		}
-		return
-	}
-	p.attachedOwn[id] = t
-	p.attachedFresh = append(p.attachedFresh, AttachedWire{ID: id, TS: t})
-}
-
-// foldFreshAttached merges the fresh tail into the sorted view: sort
-// the (small) tail, then one linear merge, ping-ponging between two
-// retained buffers so steady state allocates nothing.
-func (p *Process) foldFreshAttached() {
-	if len(p.attachedFresh) == 0 {
-		return
-	}
-	slices.SortFunc(p.attachedFresh, func(a, b AttachedWire) int { return cmpAttachedID(a, b.ID) })
-	merged := p.attachedMerge[:0]
-	i, j := 0, 0
-	for i < len(p.attachedSorted) && j < len(p.attachedFresh) {
-		if cmpAttachedID(p.attachedSorted[i], p.attachedFresh[j].ID) < 0 {
-			merged = append(merged, p.attachedSorted[i])
-			i++
-		} else {
-			merged = append(merged, p.attachedFresh[j])
-			j++
+	out := make([]AttachedWire, 0, min(len(q), limit))
+	scanned := 0
+	for ; scanned < len(q) && len(out) < limit; scanned++ {
+		aw := q[scanned]
+		if ci := p.cmds[aw.ID]; ci != nil && ci.attachedMine == aw.TS {
+			out = append(out, aw)
 		}
 	}
-	merged = append(merged, p.attachedSorted[i:]...)
-	merged = append(merged, p.attachedFresh[j:]...)
-	p.attachedMerge = p.attachedSorted[:0]
-	p.attachedSorted = merged
-	p.attachedFresh = p.attachedFresh[:0]
+	// Keep the live entries of the scanned prefix, in order, at its end.
+	dead := scanned - len(out)
+	copy(q[dead:scanned], out)
+	p.attached.drop(dead)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // bump implements lines 40-43: advances the clock to t, generating
@@ -926,31 +913,32 @@ func (p *Process) broadcastPromises() []proto.Action {
 		Detached: p.detached.Encode(),
 		WM:       p.executedWM,
 	}
-	// Fold the fresh tail in, then the broadcast is a bounded copy of the
-	// id-ordered set — no full re-sort per broadcast. The copy is
-	// required: the message is encoded asynchronously by the peer writers
-	// while the live set keeps mutating.
+	// The copy gossipAttached makes is required: the message is encoded
+	// asynchronously by the peer writers while the queue keeps mutating.
 	//
-	// The cap bounds the gossip size under overload: advertise the oldest
-	// entries first (the rest follow once those are garbage-collected).
+	// The cap bounds the gossip size under overload: advertise the lowest
+	// timestamps first — they are what holds this rank's contiguous
+	// frontier back at the peers — and the rest once those are collected.
 	// Without it, a backlog inflates every MPromises and starves the CPU.
-	p.foldFreshAttached()
 	const maxAttachedGossip = 256
-	if n := min(len(p.attachedSorted), maxAttachedGossip); n > 0 {
-		m.Attached = append(make([]AttachedWire, 0, n), p.attachedSorted[:n]...)
-	}
+	m.Attached = p.gossipAttached(maxAttachedGossip)
 	return []proto.Action{proto.Send(m, p.shardOthers...)}
 }
 
-// onMPromises incorporates a peer's promises (line 92) and performs
-// promise GC based on executed watermarks.
+// onMPromises incorporates a peer's promises (line 92) and collects the
+// commands its executed watermark releases.
 func (p *Process) onMPromises(m *MPromises) []proto.Action {
+	if m.Rank == 0 || int(m.Rank) > p.r {
+		return nil
+	}
 	p.tracker.AddDetachedPairs(m.Rank, m.Detached)
 	var acts []proto.Action
 	for _, a := range m.Attached {
 		p.noteDot(a.ID)
-		incorporated := p.tracker.AddAttached(promise.Attached{Owner: m.Rank, ID: a.ID, TS: a.TS})
-		if incorporated || p.tracker.IsCommitted(a.ID) {
+		// A peer advertises a promise until it learns the command executed
+		// everywhere, so promises for commands committed — even collected
+		// — here are the common case; the tracker incorporates them.
+		if p.tracker.AddAttached(promise.Attached{Owner: m.Rank, ID: a.ID, TS: a.TS}) {
 			continue
 		}
 		// Liveness (Appendix B, line 96): somebody proposed a timestamp
@@ -976,59 +964,74 @@ func (p *Process) onMPromises(m *MPromises) []proto.Action {
 		// bounded under load.
 		acts = append(acts, proto.Send(&MCommitRequest{ID: a.ID}, p.shardProcs...))
 	}
-	if wm, ok := p.peerWM[m.Rank]; !ok || wm.less(m.WM) {
-		p.peerWM[m.Rank] = m.WM
-		p.gcPromises()
+	if p.peerWM[m.Rank-1].less(m.WM) {
+		p.peerWM[m.Rank-1] = m.WM
+		p.collectExecuted()
 	}
 	return acts
 }
 
-// gcPromises folds own attached promises into the detached set once every
-// peer's executed watermark has passed the command: at that point every
+// collectExecuted ends the life of every command that all r replicas of
+// the shard have executed: it pops the prefix of the execution log that
+// lies at or below the lowest executed watermark. The log is in (ts, id)
+// order, so the work is O(r) per call plus O(1) per command collected.
+// A rank that has not gossiped its watermark yet (or is down) holds the
+// minimum, and with it every command it may still ask about through
+// MCommitRequest or MRec.
+func (p *Process) collectExecuted() {
+	limit, _ := p.collectLimit()
+	q := p.executed.live()
+	n := 0
+	for ; n < len(q); n++ {
+		if limit.less(TSWatermark{TS: q[n].ts, ID: q[n].id}) {
+			break
+		}
+		p.collect(q[n].id)
+	}
+	p.executed.drop(n)
+}
+
+// collectLimit returns the lowest executed watermark over the shard's r
+// ranks and a rank that holds it.
+func (p *Process) collectLimit() (TSWatermark, ids.Rank) {
+	limit, holder := p.executedWM, p.rank
+	for i, wm := range p.peerWM {
+		if r := ids.Rank(i + 1); r != p.rank && wm.less(limit) {
+			limit, holder = wm, r
+		}
+	}
+	return limit, holder
+}
+
+// GCStats implements proto.GCReporter: the commands this replica holds
+// state for, how far (in timestamps) its executed watermark is ahead of
+// the lowest one in the shard, and the rank holding that lowest
+// watermark — the replica that pins everybody's memory when the lag
+// grows. A rank that never reported counts as watermark zero.
+func (p *Process) GCStats() (liveCmds int, lagTS uint64, holder ids.Rank) {
+	limit, holder := p.collectLimit()
+	return len(p.cmds), p.executedWM.TS - limit.TS, holder
+}
+
+// collect releases everything keyed by an executed command's id. Every
 // replica has committed (indeed executed) the command, so re-advertising
-// the timestamp as detached can no longer create a premature stability
-// decision. This also garbage-collects per-command state.
-func (p *Process) gcPromises() {
-	if len(p.peerWM) < p.r-1 {
+// the own attached promise as detached can no longer create a premature
+// stability decision, and nobody can ask for the payload again. The
+// tracker keeps the id in its forgotten set, which is what turns late
+// messages and late attached promises for it into no-ops.
+func (p *Process) collect(id ids.Dot) {
+	ci := p.cmds[id]
+	if ts := ci.attachedMine; ts != 0 {
+		p.addOwnDetached(ts, ts)
+		ci.attachedMine = 0
+	}
+	p.tracker.Forget(id)
+	if p.cfg.RetainLog {
 		return
 	}
-	minWM := p.executedWM
-	for _, wm := range p.peerWM {
-		if wm.less(minWM) {
-			minWM = wm
-		}
-	}
-	// Sweep the sorted view (fresh tail folded in first so nothing is
-	// missed), compacting in place so it stays ordered; the map mirrors
-	// every fold.
-	p.foldFreshAttached()
-	kept := p.attachedSorted[:0]
-	for _, aw := range p.attachedSorted {
-		id, ts := aw.ID, aw.TS
-		ci, ok := p.cmds[id]
-		if !ok {
-			// Command state already collected; the promise point is
-			// covered by the executed watermark.
-			p.addOwnDetached(ts, ts)
-			delete(p.attachedOwn, id)
-			continue
-		}
-		if ci.phase != PhaseExecute {
-			kept = append(kept, aw)
-			continue
-		}
-		point := TSWatermark{TS: ci.finalTS, ID: id}
-		if point.less(minWM) || point == minWM {
-			p.addOwnDetached(ts, ts)
-			delete(p.attachedOwn, id)
-			if !p.cfg.RetainLog {
-				p.collect(id, ci)
-			}
-			continue
-		}
-		kept = append(kept, aw)
-	}
-	p.attachedSorted = kept
+	delete(p.cmds, id)
+	ci.reset()
+	p.ciPool.Put(ci)
 }
 
 // onMCommitRequest replays payload and commit info for a committed

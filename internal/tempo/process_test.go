@@ -42,13 +42,18 @@ func lineTopo(t *testing.T, r, f, shards int) *topology.Topology {
 
 // makeNet builds one Tempo replica per process in the topology plus a
 // testnet pump. Recovery is effectively disabled unless cfg says
-// otherwise.
+// otherwise, and collected commands keep their cmdInfo for inspection.
 func makeNet(t *testing.T, topo *topology.Topology, cfg Config) (map[ids.ProcessID]*Process, *testnet.Net) {
 	t.Helper()
 	if cfg.RecoveryTimeout == 0 {
 		cfg.RecoveryTimeout = time.Hour
 	}
-	cfg.RetainLog = true // tests inspect per-command state after GC
+	cfg.RetainLog = true
+	return makeNetCfg(topo, cfg)
+}
+
+// makeNetCfg is makeNet with cfg taken as given.
+func makeNetCfg(topo *topology.Topology, cfg Config) (map[ids.ProcessID]*Process, *testnet.Net) {
 	procs := make(map[ids.ProcessID]*Process)
 	var reps []proto.Replica
 	for _, pi := range topo.Processes() {
@@ -57,6 +62,15 @@ func makeNet(t *testing.T, topo *topology.Topology, cfg Config) (map[ids.Process
 		reps = append(reps, p)
 	}
 	return procs, testnet.New(reps...)
+}
+
+// ownAttached returns the attached promise p holds for a command: 0 if it
+// never proposed, or collection folded the promise away.
+func (p *Process) ownAttached(id ids.Dot) uint64 {
+	if ci := p.cmds[id]; ci != nil {
+		return ci.attachedMine
+	}
+	return 0
 }
 
 func at(topo *topology.Topology, site int, shard int) ids.ProcessID {
@@ -151,10 +165,10 @@ func TestProposalGeneratesPromises(t *testing.T) {
 
 	// First proposal from clock 0: no detached promises, attached at 1.
 	id1 := p.NextID()
-	if got := p.proposal(id1, 0); got != 1 {
+	if got := p.proposal(id1, p.info(id1), 0); got != 1 {
 		t.Fatalf("proposal = %d, want 1", got)
 	}
-	if p.attachedOwn[id1] != 1 {
+	if p.ownAttached(id1) != 1 || p.attached.len() != 1 {
 		t.Error("attached promise missing")
 	}
 	if p.detached.Len() != 0 {
@@ -163,7 +177,7 @@ func TestProposalGeneratesPromises(t *testing.T) {
 
 	// Proposal forced to 6 from clock 1: detached 2..5, attached 6.
 	id2 := p.NextID()
-	if got := p.proposal(id2, 6); got != 6 {
+	if got := p.proposal(id2, p.info(id2), 6); got != 6 {
 		t.Fatalf("proposal = %d, want 6", got)
 	}
 	if !p.detached.ContainsRange(2, 5) || p.detached.Contains(6) {
@@ -208,33 +222,6 @@ func TestReadYourWrite(t *testing.T) {
 	}
 	if res == nil || len(res.Values) != 1 || string(res.Values[0]) != "v1" {
 		t.Fatalf("read result = %+v, want v1", res)
-	}
-}
-
-func TestPromiseGC(t *testing.T) {
-	topo := lineTopo(t, 3, 1, 1)
-	procs, net := makeNet(t, topo, Config{})
-	for _, p := range procs {
-		p.cfg.RetainLog = false // this test verifies GC itself
-	}
-	a := at(topo, 0, 0)
-	p := procs[a]
-	for i := 0; i < 10; i++ {
-		net.Submit(a, command.NewPut(p.NextID(), "k", []byte{byte(i)}))
-		net.Drain(0)
-	}
-	net.Settle(6, 5*time.Millisecond)
-	// After everything executed everywhere and watermarks propagated, the
-	// coordinator's attached promises must be folded into the detached
-	// set and per-command state collected.
-	if len(p.attachedOwn) != 0 {
-		t.Errorf("attachedOwn not collected: %d entries", len(p.attachedOwn))
-	}
-	if len(p.cmds) != 0 {
-		t.Errorf("cmds not collected: %d entries", len(p.cmds))
-	}
-	if p.detached.NumIntervals() != 1 {
-		t.Errorf("detached set should have merged into one interval, got %v", p.detached)
 	}
 }
 

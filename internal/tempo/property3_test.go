@@ -95,11 +95,11 @@ func TestClockMonotonicity(t *testing.T) {
 		// Own attached promises are pairwise distinct timestamps.
 		for _, q := range procs {
 			seen := map[uint64]bool{}
-			for _, ts := range q.attachedOwn {
-				if seen[ts] {
-					t.Fatalf("process %d reused timestamp %d", q.ID(), ts)
+			for _, aw := range q.attached.live() {
+				if seen[aw.TS] {
+					t.Fatalf("process %d reused timestamp %d", q.ID(), aw.TS)
 				}
-				seen[ts] = true
+				seen[aw.TS] = true
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package tempo
 
 import (
+	"slices"
+
 	"tempo/internal/ids"
 	"tempo/internal/proto"
 )
@@ -9,12 +11,29 @@ import (
 // re-broadcast payloads of long-pending commands and, if this process is
 // the shard leader (per the Ω failure detector), take over their
 // coordination.
+//
+// It visits only what is pending (see prunePending), so a run costs what
+// is pending plus O(1) per command created since the last prune — not
+// the size of p.cmds, which also holds every command waiting for
+// collection. Overdue commands are handled in Dot order, which makes the
+// emitted actions a function of the message history alone.
 func (p *Process) periodicRecovery() []proto.Action {
-	var acts []proto.Action
-	for id, ci := range p.cmds {
-		if !ci.phase.pending() || p.now-ci.enqueued < p.cfg.RecoveryTimeout {
-			continue
+	p.prunePending()
+	var due []ids.Dot
+	for _, id := range p.pendingQ {
+		if ci := p.cmds[id]; ci.phase.pending() && p.now-ci.enqueued >= p.cfg.RecoveryTimeout {
+			due = append(due, id)
 		}
+	}
+	slices.SortFunc(due, func(a, b ids.Dot) int {
+		if a.Less(b) {
+			return -1
+		}
+		return 1
+	})
+	var acts []proto.Action
+	for _, id := range due {
+		ci := p.cmds[id]
 		if ci.cmd != nil {
 			acts = append(acts, proto.Send(&MPayload{ID: id, Cmd: ci.cmd, Quorums: ci.quorums}, p.cmdProcesses(ci)...))
 		}
@@ -74,8 +93,7 @@ func (p *Process) onMRec(from ids.ProcessID, m *MRec) []proto.Action {
 	if ci.bal == 0 {
 		switch ci.phase {
 		case PhasePayload:
-			ci.ts = p.proposal(m.ID, 0)
-			ci.attachedMine = ci.ts
+			ci.ts = p.proposal(m.ID, ci, 0)
 			ci.phase = PhaseRecoverR
 		case PhasePropose:
 			ci.phase = PhaseRecoverP

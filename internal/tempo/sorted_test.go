@@ -8,11 +8,11 @@ import (
 	"tempo/internal/ids"
 )
 
-// TestAttachedPromisesStaySorted pins the incremental sorted-set
-// invariant that replaced the per-broadcast sort.Slice: attachedSorted
-// stays ordered by command id through out-of-order inserts and updates,
-// mirrors the map exactly, and is what MPromises carries.
-func TestAttachedPromisesStaySorted(t *testing.T) {
+// TestAttachedGossipQueue pins the queue that replaced the id-sorted
+// view and its full sweep: MPromises carries the live attached promises
+// oldest (lowest timestamp) first, capped, and a broadcast drops exactly
+// the folded entries it scans past.
+func TestAttachedGossipQueue(t *testing.T) {
 	topo := lineTopo(t, 5, 1, 1)
 	p := New(at(topo, 0, 0), topo, Config{})
 
@@ -20,38 +20,49 @@ func TestAttachedPromisesStaySorted(t *testing.T) {
 		{Source: 3, Seq: 5}, {Source: 1, Seq: 9}, {Source: 2, Seq: 1},
 		{Source: 1, Seq: 2}, {Source: 5, Seq: 7}, {Source: 2, Seq: 4},
 	}
-	for i, d := range dots {
-		p.addOwnAttached(d, uint64(10+i))
+	for _, d := range dots {
+		p.proposal(d, p.info(d), 0)
 	}
-	assertAttachedViewsAgree(t, p)
-
-	// Updating an existing id must not duplicate the entry.
-	p.addOwnAttached(dots[0], 99)
-	if len(p.attachedSorted) != len(dots) {
-		t.Fatalf("update grew the sorted view to %d entries, want %d", len(p.attachedSorted), len(dots))
+	gossip := func() []AttachedWire {
+		t.Helper()
+		acts := p.broadcastPromises()
+		if len(acts) != 1 {
+			t.Fatalf("broadcastPromises returned %d actions", len(acts))
+		}
+		return acts[0].Msg.(*MPromises).Attached
 	}
-	assertAttachedViewsAgree(t, p)
-
-	acts := p.broadcastPromises()
-	if len(acts) != 1 {
-		t.Fatalf("broadcastPromises returned %d actions", len(acts))
+	got := gossip()
+	if len(got) != len(dots) {
+		t.Fatalf("broadcast carries %d attached, want %d", len(got), len(dots))
 	}
-	m := acts[0].Msg.(*MPromises)
-	if len(m.Attached) != len(dots) {
-		t.Fatalf("broadcast carries %d attached, want %d", len(m.Attached), len(dots))
-	}
-	for i := 1; i < len(m.Attached); i++ {
-		if !m.Attached[i-1].ID.Less(m.Attached[i].ID) {
-			t.Fatalf("MPromises.Attached out of order at %d: %v then %v",
-				i, m.Attached[i-1].ID, m.Attached[i].ID)
+	for i, aw := range got {
+		if aw.ID != dots[i] || aw.TS != uint64(i+1) {
+			t.Fatalf("entry %d = %+v, want %v at ts %d", i, aw, dots[i], i+1)
 		}
 	}
+
+	// Fold the promises of dots 0, 1 and 3, as collect does.
+	for _, i := range []int{0, 1, 3} {
+		p.cmds[dots[i]].attachedMine = 0
+	}
+	if got := p.gossipAttached(2); len(got) != 2 || got[0].ID != dots[2] || got[1].ID != dots[4] {
+		t.Fatalf("capped gossip = %+v, want dots 2 and 4", got)
+	}
+	// The scan stopped at the cap: three dead entries went, the two live
+	// ones it passed and the unscanned tail stay.
+	if p.attached.len() != 3 {
+		t.Fatalf("queue holds %d entries after the capped scan, want 3", p.attached.len())
+	}
+	if got := gossip(); len(got) != 3 || got[2].ID != dots[5] {
+		t.Fatalf("full gossip = %+v, want dots 2, 4, 5", got)
+	}
+	assertAttachedQueueAgrees(t, p)
 }
 
-// TestAttachedSortedSurvivesWorkload runs a real multi-site workload to
-// completion and checks every replica's sorted view still matches its
-// map after the GC sweep folded promises away.
-func TestAttachedSortedSurvivesWorkload(t *testing.T) {
+// TestAttachedQueueSurvivesWorkload runs a real multi-site workload to
+// completion and checks every replica's queue against its live promises
+// once collection has folded them away.
+func TestAttachedQueueSurvivesWorkload(t *testing.T) {
 	topo := lineTopo(t, 5, 1, 1)
 	procs, net := makeNet(t, topo, Config{})
 	for site := 0; site < 5; site++ {
@@ -62,24 +73,39 @@ func TestAttachedSortedSurvivesWorkload(t *testing.T) {
 	}
 	net.Drain(0)
 	net.Settle(5, 5*time.Millisecond)
-	for id, p := range procs {
-		t.Run("", func(t *testing.T) { _ = id; assertAttachedViewsAgree(t, p) })
+	for _, p := range procs {
+		assertAttachedQueueAgrees(t, p)
+		if n := p.attached.len(); n != 0 {
+			t.Errorf("process %d: %d attached promises survived collection", p.ID(), n)
+		}
 	}
 }
 
-func assertAttachedViewsAgree(t *testing.T, p *Process) {
+// assertAttachedQueueAgrees checks the gossip queue after a broadcast:
+// ascending timestamps, and its live entries are exactly the commands
+// holding an attached promise.
+func assertAttachedQueueAgrees(t *testing.T, p *Process) {
 	t.Helper()
-	p.foldFreshAttached()
-	if len(p.attachedSorted) != len(p.attachedOwn) {
-		t.Fatalf("sorted view has %d entries, map has %d", len(p.attachedSorted), len(p.attachedOwn))
+	p.broadcastPromises()
+	live := 0
+	var prev uint64
+	for i, aw := range p.attached.live() {
+		if aw.TS <= prev {
+			t.Fatalf("process %d: queue out of order at %d: ts %d after %d", p.ID(), i, aw.TS, prev)
+		}
+		prev = aw.TS
+		if p.ownAttached(aw.ID) == aw.TS {
+			live++
+		}
 	}
-	for i, aw := range p.attachedSorted {
-		if ts, ok := p.attachedOwn[aw.ID]; !ok || ts != aw.TS {
-			t.Fatalf("entry %d (%v, ts %d) disagrees with map (ts %d, present %v)", i, aw.ID, aw.TS, ts, ok)
+	held := 0
+	for _, ci := range p.cmds {
+		if ci.attachedMine != 0 {
+			held++
 		}
-		if i > 0 && !p.attachedSorted[i-1].ID.Less(aw.ID) {
-			t.Fatalf("sorted view out of order at %d: %v then %v", i, p.attachedSorted[i-1].ID, aw.ID)
-		}
+	}
+	if live != held {
+		t.Fatalf("process %d: queue has %d live entries, commands hold %d", p.ID(), live, held)
 	}
 }
 
