@@ -782,7 +782,7 @@ func (n *Node) afterStepLocked(acts []proto.Action) {
 	for _, e := range ex {
 		n.stat.appliedCmds.Add(1)
 		if n.crossShardCmd(e.Cmd.Ops) {
-			n.completeOrPark(e.Cmd.ID, e.Result.Values)
+			n.completeOrPark(e.Cmd, e.Result.Values)
 		} else {
 			n.completeCmd(e.Cmd.ID, e.Result.Values)
 		}
@@ -820,7 +820,7 @@ func (n *Node) execLoop() {
 				n.dur.recordApply(it)
 			}
 			if it.Multi {
-				n.completeOrPark(it.Cmd.ID, res.Values)
+				n.completeOrPark(it.Cmd, res.Values)
 			} else {
 				n.completeCmd(it.Cmd.ID, res.Values)
 			}

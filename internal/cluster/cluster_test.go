@@ -249,6 +249,74 @@ func TestWriteBatchSplitsFrames(t *testing.T) {
 	}
 }
 
+// TestLinkRedialsAfterPeerHangUp pins how a link writer reacts to its
+// peer closing the connection, as a restarting site does with every
+// inbound link: it must let the dead connection go at once, so the next
+// message leaves on a fresh one. Written into the old connection, that
+// message would be accepted by the kernel and lost.
+func TestLinkRedialsAfterPeerHangUp(t *testing.T) {
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ln.SetDeadline(time.Now().Add(5 * time.Second))
+	addrs := map[ids.ProcessID]string{2: ln.Addr().String()}
+	g := NewGroup(addrs, nil)
+	defer g.Close()
+	// A hosted node sizes the link queues; it is never started.
+	g.AddNode(NewNode(1, tempo.New(1, topology.EC2Sharded(1), tempo.Config{}), addrs))
+	accept := func() (*net.TCPConn, *bufio.Reader) {
+		t.Helper()
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(c)
+		var magic [4]byte
+		if _, err := io.ReadFull(br, magic[:]); err != nil || magic != GroupMagic {
+			t.Fatalf("link opened with %x, %v", magic, err)
+		}
+		return c.(*net.TCPConn), br
+	}
+	expect := func(br *bufio.Reader, seq uint64) {
+		t.Helper()
+		var buf []byte
+		b, err := ReadFrame(br, defaultMaxFrameBytes, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 { // from, to
+			if _, b, err = proto.ReadUvarint(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, _, err := proto.DecodeMessage(b)
+		if ms, ok := m.(*tempo.MStable); err != nil || !ok || ms.ID.Seq != seq {
+			t.Fatalf("received %+v, %v; want MStable %d", m, err, seq)
+		}
+	}
+	send := func(seq uint64) { g.forward(1, 2, &tempo.MStable{ID: ids.Dot{Source: 1, Seq: seq}}) }
+
+	send(1)
+	c1, br1 := accept()
+	expect(br1, 1)
+	// The peer hangs up its sending half; the writer must close the link
+	// in response, which the peer sees as EOF.
+	if err := c1.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br1.ReadByte(); err != io.EOF {
+		t.Fatalf("writer kept the link its peer closed: read %v", err)
+	}
+	c1.Close()
+	send(2)
+	c2, br2 := accept()
+	defer c2.Close()
+	expect(br2, 2)
+}
+
 func TestClientErrors(t *testing.T) {
 	_, addrs, topo := startCluster(t, 3, 1)
 	c, err := dialClient(addrs[topo.ProcessAt(0, 0)])

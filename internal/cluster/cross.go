@@ -33,10 +33,10 @@ import (
 //
 // A watch can lose the race with local execution (the command executed
 // before the watch frame arrived). Executed cross-shard commands with no
-// local waiter therefore park their result values for parkTTL; a late
-// watch is answered straight from the parked buffer. Single-shard
-// commands never park — their results always have a registered waiter
-// or nobody to answer.
+// local waiter at a watched shard (any but the gateway's) therefore park
+// their result values for parkTTL; a late watch is answered straight
+// from the parked buffer. Single-shard commands never park — their
+// results always have a registered waiter or nobody to answer.
 
 // sweepConn claims every waiter still pending for a gone connection
 // (there is no one left to reply to) and drops fully-claimed commands.
@@ -255,9 +255,11 @@ func (n *Node) watch(w *waiter, id ids.Dot) {
 
 // Parked results: executed cross-shard commands with no local waiter
 // keep their result values for parkTTL, so a watch that lost the race
-// with execution is still answered. maxParked bounds the buffer — every
-// replica of an accessed shard executes every cross-shard command, but
-// only the client-chosen one carries a watch, so the others park
+// with execution is still answered. Only the replicas of the shards a
+// client watches park: the lowest accessed shard is the gateway's, whose
+// result rides the submission's own waiter. maxParked bounds the buffer
+// — every replica of a watched shard executes every cross-shard command,
+// but only the client-chosen one carries a watch, so the others park
 // everything they execute until the TTL reclaims it. A watch arriving
 // after its entry was reclaimed (TTL, or cap eviction under extreme
 // load) waits until its deadline and surfaces as a timeout — the same
@@ -275,8 +277,10 @@ type parkedResult struct {
 }
 
 // completeOrPark completes every waiter of an executed cross-shard
-// command, or parks the result when no one is waiting locally.
-func (n *Node) completeOrPark(id ids.Dot, values [][]byte) {
+// command, or parks the result when no one is waiting locally and a
+// watch may still come.
+func (n *Node) completeOrPark(cmd *command.Command, values [][]byte) {
+	id := cmd.ID
 	n.waitMu.Lock()
 	if pc := n.waiters[id]; pc != nil {
 		delete(n.waiters, id)
@@ -289,6 +293,10 @@ func (n *Node) completeOrPark(id ids.Dot, values [][]byte) {
 		}
 		return
 	}
+	if !n.watched(cmd.Ops) {
+		n.waitMu.Unlock()
+		return
+	}
 	if len(n.parked) >= maxParked {
 		// Arbitrary eviction keeps the buffer bounded; the TTL sweep is
 		// the primary reclaim.
@@ -299,6 +307,19 @@ func (n *Node) completeOrPark(id ids.Dot, values [][]byte) {
 	}
 	n.parked[id] = parkedResult{values: values, expires: time.Now().Add(parkTTL)}
 	n.waitMu.Unlock()
+}
+
+// watched reports whether a client may watch this replica's shard for a
+// cross-shard command: whether the command accesses a shard below it.
+// The client submits at a replica of the lowest accessed shard and
+// watches only the others, and submitCmdAt never reads parked results.
+func (n *Node) watched(ops []command.Op) bool {
+	for i := range ops {
+		if s, _ := n.sharder.OpsShard(ops[i : i+1]); s < n.shard {
+			return true
+		}
+	}
+	return false
 }
 
 // sweepParked drops parked results whose TTL expired. The tick loop

@@ -70,7 +70,8 @@ func shardedKey(t *testing.T, topo *topology.Topology, shard ids.ShardID, tag st
 // TestWatchAfterExecutionParked covers the watch-loses-the-race path: a
 // cross-shard command fully executes before any watch reaches the
 // sibling shard's replica; the late watch must still be answered, from
-// the parked-results buffer.
+// the parked-results buffer. No client ever watches the gateway's shard,
+// so none of its replicas may park the result.
 func TestWatchAfterExecutionParked(t *testing.T) {
 	nodes, _, topo := startShardedNodes(t, 3, 2)
 	gateway := nodes[topo.ProcessAt(0, 0)] // shard 0 at site 0
@@ -110,6 +111,29 @@ func TestWatchAfterExecutionParked(t *testing.T) {
 			t.Fatal("result never parked at the sibling shard's replica")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+
+	// A second command on the gateway's shard: a replica's executor is
+	// done with the cross-shard command once it has applied this one too.
+	sw, sbr := pipeWaiter(t, time.Time{})
+	gateway.submit(sw, []command.Op{{Kind: command.Put, Key: k0, Value: []byte("v2")}})
+	if _, werr, _ := readReply(t, sbr); werr.Code != command.ErrCodeNone {
+		t.Fatalf("single-shard reply: %+v", werr)
+	}
+	for _, pid := range topo.ShardProcesses(0) {
+		n := nodes[pid]
+		for n.Stats().AppliedCmds < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("process %d applied %d commands, want 2", pid, n.Stats().AppliedCmds)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		n.waitMu.Lock()
+		parked := len(n.parked)
+		n.waitMu.Unlock()
+		if parked != 0 {
+			t.Errorf("process %d of the gateway's shard parked %d results nobody can watch", pid, parked)
+		}
 	}
 
 	// The late watch completes immediately from the parked buffer with

@@ -291,11 +291,23 @@ func (g *Group) localLoop(n *Node, q chan groupMsg) {
 // machinery retries — and the next batch redials. An epoch that rebinds
 // a peer's slot to a new address (node replacement) redirects traffic
 // without a restart, because forward resolves the address per message.
+//
+// A connection the peer has closed is dropped as soon as the peer's
+// close arrives, not at the first write after it: the kernel accepts
+// that write into the dead connection and the batch vanishes, so a peer
+// that restarts between two batches would otherwise lose the first one
+// sent after — typically the reply to its own first request, which
+// nothing resends.
 func (g *Group) writer(addr string, ch chan groupMsg) {
 	var conn net.Conn
+	var hungUp <-chan struct{} // nil, so never ready, while conn is nil
 	var bw *bufio.Writer
 	var head, body []byte
 	batch := make([]groupMsg, 0, maxWriteBatch)
+	drop := func() {
+		conn.Close()
+		conn, bw, hungUp = nil, nil, nil
+	}
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -306,6 +318,9 @@ func (g *Group) writer(addr string, ch chan groupMsg) {
 		select {
 		case <-g.done:
 			return
+		case <-hungUp:
+			drop()
+			continue
 		case m = <-ch:
 		}
 		batch = append(batch[:0], m)
@@ -318,26 +333,43 @@ func (g *Group) writer(addr string, ch chan groupMsg) {
 				break coalesce
 			}
 		}
+		select {
+		case <-hungUp: // the close raced with the batch
+			drop()
+		default:
+		}
 		for attempt := 0; attempt < 2; attempt++ {
 			if conn == nil {
 				c, err := dialGroupPeer(addr)
 				if err != nil {
 					break // drop; liveness machinery retries
 				}
-				conn, bw = c, bufio.NewWriter(c)
+				conn, bw, hungUp = c, bufio.NewWriter(c), watchHangUp(c)
 			}
 			err := g.writeGroupBatch(bw, batch, &head, &body)
 			if err == nil {
 				err = bw.Flush()
 			}
 			if err != nil {
-				conn.Close()
-				conn, bw = nil, nil
+				drop()
 				continue
 			}
 			break
 		}
 	}
+}
+
+// watchHangUp returns a channel closed once the peer closes c. A group
+// link carries frames one way, so the read returns only at the peer's
+// close (or once c is closed locally, which ends the goroutine).
+func watchHangUp(c net.Conn) <-chan struct{} {
+	ch := make(chan struct{})
+	go func() {
+		defer close(ch)
+		var b [1]byte
+		c.Read(b[:])
+	}()
+	return ch
 }
 
 func dialGroupPeer(addr string) (net.Conn, error) {

@@ -105,6 +105,17 @@ func (s *IntervalSet) ContainsRange(lo, hi uint64) bool {
 	return i < len(s.iv) && s.iv[i].lo <= lo && s.iv[i].hi >= hi
 }
 
+// RunEndingAt returns the smallest lo such that the set contains every
+// timestamp in [lo, t]: the maximal run of the set that ends at t. ok is
+// false when t itself is absent.
+func (s *IntervalSet) RunEndingAt(t uint64) (lo uint64, ok bool) {
+	i := sort.Search(len(s.iv), func(i int) bool { return s.iv[i].hi >= t })
+	if i == len(s.iv) || s.iv[i].lo > t {
+		return 0, false
+	}
+	return s.iv[i].lo, true
+}
+
 // HighestContiguous returns the largest c such that the set contains every
 // timestamp in [1, c]; 0 if 1 is absent. This is
 // highest_contiguous_promise of Algorithm 2.

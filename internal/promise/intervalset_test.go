@@ -69,6 +69,27 @@ func TestContains(t *testing.T) {
 	}
 }
 
+func TestRunEndingAt(t *testing.T) {
+	s := &IntervalSet{}
+	s.AddRange(3, 8)
+	s.Add(11)
+	for _, c := range []struct {
+		t, lo uint64
+		ok    bool
+	}{
+		{3, 3, true}, {6, 3, true}, {8, 3, true}, {11, 11, true},
+		{0, 0, false}, {2, 0, false}, {9, 0, false}, {12, 0, false},
+	} {
+		lo, ok := s.RunEndingAt(c.t)
+		if lo != c.lo || ok != c.ok {
+			t.Errorf("RunEndingAt(%d) = (%d, %v), want (%d, %v)", c.t, lo, ok, c.lo, c.ok)
+		}
+		if ok && !s.ContainsRange(lo, c.t) {
+			t.Errorf("RunEndingAt(%d): [%d, %d] not in %s", c.t, lo, c.t, s)
+		}
+	}
+}
+
 func TestContainsRange(t *testing.T) {
 	s := &IntervalSet{}
 	s.AddRange(3, 8)

@@ -141,6 +141,10 @@ type Sim struct {
 	now    time.Duration
 	endAt  time.Duration
 	jitter float64
+	// lastArrive is the latest arrival scheduled on each directed link:
+	// jitter may delay a message, never reorder it past a later one, as
+	// the runtime's TCP links guarantee.
+	lastArrive map[[2]ids.ProcessID]time.Duration
 
 	onExecuted func(at time.Duration, p ids.ProcessID, ex []proto.Executed)
 }
@@ -149,11 +153,12 @@ type Sim struct {
 // process (built by newReplica).
 func New(topo *topology.Topology, newReplica func(ids.ProcessID) proto.Replica, cost *CostModel, seed int64) *Sim {
 	s := &Sim{
-		topo:   topo,
-		cost:   cost,
-		rng:    rand.New(rand.NewSource(seed)),
-		nodes:  make(map[ids.ProcessID]*node),
-		jitter: 0.01,
+		topo:       topo,
+		cost:       cost,
+		rng:        rand.New(rand.NewSource(seed)),
+		nodes:      make(map[ids.ProcessID]*node),
+		jitter:     0.01,
+		lastArrive: make(map[[2]ids.ProcessID]time.Duration),
 	}
 	for _, pi := range topo.Processes() {
 		s.nodes[pi.ID] = &node{rep: newReplica(pi.ID)}
@@ -235,7 +240,12 @@ func (s *Sim) dispatch(p ids.ProcessID, acts []proto.Action) {
 			if s.jitter > 0 && oneway > 0 {
 				oneway += time.Duration(s.rng.Float64() * s.jitter * float64(oneway))
 			}
-			s.deliver(p, to, a.Msg, depart+oneway)
+			// Equal arrival times fire in scheduling order, so the floor
+			// keeps the link FIFO.
+			link := [2]ids.ProcessID{p, to}
+			arrive := max(depart+oneway, s.lastArrive[link])
+			s.lastArrive[link] = arrive
+			s.deliver(p, to, a.Msg, arrive)
 		}
 	}
 }

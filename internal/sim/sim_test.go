@@ -103,6 +103,73 @@ func TestTempoLatencyMatchesQuorumGeometry(t *testing.T) {
 	}
 }
 
+// TestSingleCoordinatorTracksCommit: four zero-conflict clients at
+// Ireland on the three-site ring (Ireland, N. California, Singapore)
+// share one coordinator whose fast quorum is {Ireland, N. California}.
+// Every command must execute one fast-quorum RTT (141ms) after it was
+// submitted. A link that lets a later MPropose overtake an earlier one
+// makes the member propose the earlier command above the later one, so
+// it commits at a timestamp the coordinator has already attached to a
+// still-newer command, and it waits for that command's commit: up to a
+// second RTT.
+func TestSingleCoordinatorTracksCommit(t *testing.T) {
+	topo := topology.EC2Sharded(1)
+	res := Run(Config{
+		Topo:           topo,
+		NewReplica:     tempoReplica(topo),
+		Workload:       workload.NewMicrobench(0, 16, rand.New(rand.NewSource(1))),
+		ClientsPerSite: 4,
+		ClientSites:    []ids.SiteID{0},
+		Warmup:         300 * time.Millisecond,
+		Duration:       2 * time.Second,
+		Seed:           1,
+	})
+	h := res.PerSite[0]
+	if p99 := h.Percentile(99); p99 > 145*time.Millisecond {
+		t.Errorf("Ireland p99 %v over %d commands (p50 %v), want the 141ms fast-quorum RTT",
+			p99, h.Count(), h.Percentile(50))
+	}
+}
+
+// TestTwoCoordinatorsTrackCommit: on a 100µs LAN with two clients at
+// each of sites 0 and 2, process 2 sits in process 1's fast quorum but
+// not in process 3's, so every commit of process 3's commands bumps it
+// outside any proposal. Process 1's commands must not wait for those
+// promises to arrive by the 5ms MPromises gossip.
+func TestTwoCoordinatorsTrackCommit(t *testing.T) {
+	const rtt = 100 * time.Microsecond
+	topo, err := topology.New(topology.Config{
+		SiteNames: []string{"a", "b", "c"},
+		RTT:       [][]time.Duration{{0, rtt, rtt}, {rtt, 0, rtt}, {rtt, rtt, 0}},
+		F:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Run(Config{
+		Topo: topo,
+		NewReplica: func(id ids.ProcessID) proto.Replica {
+			return tempo.New(id, topo, tempo.Config{
+				PromiseInterval: 5 * time.Millisecond,
+				RecoveryTimeout: time.Hour,
+			})
+		},
+		Workload:       workload.NewMicrobench(0, 16, rand.New(rand.NewSource(1))),
+		ClientsPerSite: 2,
+		ClientSites:    []ids.SiteID{0, 2},
+		Warmup:         100 * time.Millisecond,
+		Duration:       500 * time.Millisecond,
+		Seed:           1,
+	})
+	for _, s := range []ids.SiteID{0, 2} {
+		h := res.PerSite[s]
+		if p99 := h.Percentile(99); p99 >= time.Millisecond {
+			t.Errorf("site %d: p99 %v over %d commands (p50 %v), want under 1ms",
+				s, p99, h.Count(), h.Percentile(50))
+		}
+	}
+}
+
 // TestFPaxosUnfairness: FPaxos satisfies the leader site far better than
 // remote sites (Figure 5's finding).
 func TestFPaxosUnfairness(t *testing.T) {

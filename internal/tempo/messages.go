@@ -85,8 +85,8 @@ func (q Quorums) size() int {
 }
 
 // RankTS carries one fast-quorum member's promises on the wire: the
-// attached promise TS plus the detached range [DetLo, DetHi] generated
-// while computing the proposal (zero DetLo means no detached promises).
+// attached promise TS plus the detached run [DetLo, DetHi] its
+// MProposeAck carried (zero DetLo means no detached promises).
 // Broadcasting these in MCommit is the §3.2 optimization that makes a
 // committed timestamp usually stable immediately.
 //
@@ -147,8 +147,10 @@ type MPropose struct {
 }
 
 // MProposeAck returns a timestamp proposal to the coordinator (line 16).
-// DetachedLo/Hi piggyback the detached promises generated while computing
-// the proposal (§3.2 optimization); an empty range means none.
+// DetachedLo/Hi piggyback the sender's detached promises (§3.2
+// optimization): the maximal detached run ending just below TS, which
+// covers the range the proposal skipped and every bump since the
+// sender's previous attached promise; an empty range means none.
 //
 //tempo:wire
 type MProposeAck struct {

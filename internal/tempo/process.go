@@ -615,11 +615,15 @@ func (p *Process) onMPropose(from ids.ProcessID, m *MPropose) []proto.Action {
 	}
 	p.learnPayload(ci, m.Cmd, m.Quorums)
 	ci.phase = PhasePropose
-	lo := p.clock + 1
 	ci.ts = p.proposal(m.ID, ci, m.TS)
 	ack := &MProposeAck{ID: m.ID, TS: ci.ts}
-	if hi := ci.ts - 1; lo <= hi {
-		ack.DetachedLo, ack.DetachedHi = lo, hi
+	// Piggyback the whole detached run below the proposal, not only the
+	// range this proposal skipped: every timestamp since this process's
+	// previous attached promise is detached, so the run also carries the
+	// bumps that commits and consensus rounds caused in between, which
+	// the coordinator would otherwise learn from the next MPromises only.
+	if lo, ok := p.detached.RunEndingAt(ci.ts - 1); ok {
+		ack.DetachedLo, ack.DetachedHi = lo, ci.ts-1
 	}
 	acts := []proto.Action{proto.Send(ack, from)}
 	// Faster stability for multi-shard commands (Algorithm 3, line 68):
