@@ -7,8 +7,10 @@
 // single connection; Do returns a Future immediately and the session's
 // demultiplexer completes it when the reply arrives. Calls take a
 // context.Context: its deadline is propagated to the serving replica,
-// which fails the command with ErrTimeout if it cannot execute in time,
-// and cancelling the context abandons the request client-side.
+// which fails the request with ErrTimeout if the command has not
+// executed in time, and cancelling the context abandons the request
+// client-side. Either way the command's outcome is unknown: it may still
+// execute later, even after commands the session issued afterwards.
 //
 // With a topology, the session routes each command to a replica of the
 // shard owning its first key (preferring the configured site) and fails
@@ -47,9 +49,12 @@ import (
 // detail; test with errors.Is. The sentinels live in internal/command,
 // next to the wire error codes they decode from.
 var (
-	// ErrTimeout reports that a request's deadline expired before the
-	// command executed, whether the client's context fired or the
-	// serving replica gave up.
+	// ErrTimeout reports that a request's deadline expired before its
+	// result arrived, whether the client's context fired or the serving
+	// replica gave up. The outcome is unknown, not negative: the command
+	// may already have executed, or may still execute later — possibly
+	// after commands this session issued afterwards (a timed-out Put can
+	// overwrite a later acknowledged Put of the same key).
 	ErrTimeout = command.ErrTimeout
 	// ErrNotFound reports a Get of a key with no value.
 	ErrNotFound = command.ErrNotFound
@@ -103,8 +108,9 @@ type Config struct {
 	RedialBackoffMax time.Duration
 	// RequestTimeout is the per-request deadline applied when the
 	// context has none (default 10s; negative disables). The deadline
-	// travels with the request, so the replica itself fails the command
-	// with ErrTimeout if it cannot execute it in time.
+	// travels with the request, so the replica itself fails the request
+	// with ErrTimeout if the command has not executed in time (the
+	// command itself is not cancelled; see ErrTimeout).
 	RequestTimeout time.Duration
 	// Refresh enables membership-aware routing against deployments with
 	// dynamic membership (internal/psmr): the session refetches the

@@ -12,12 +12,12 @@
 //	bench -exp shard               # sharded TCP clusters 1..4 shards -> BENCH_shard.json
 //	bench -exp wan                 # durable 3-region clusters under WAN profiles -> BENCH_wan.json
 //	bench -exp chaos               # vulture soak under partition+SIGKILL+slow-fsync -> BENCH_chaos.json
-//	bench -exp compare             # consensus engines on the ring WAN across conflict ratios -> BENCH_compare.json
 //	bench -exp reconfig            # rolling replacement of every site under load -> BENCH_reconfig.json
 //
 // Experiments: fig5, fig6, fig7, fig8, fig9, ablation-mbump,
 // ablation-piggyback, ablation-f, micro, cluster, fault, shard, wan,
-// chaos, compare, reconfig, all.
+// chaos, reconfig, all. The baseline protocols (Atlas, EPaxos, FPaxos,
+// Caesar, Janus*) run in the simulator experiments only.
 // See EXPERIMENTS.md for the paper-vs-reproduction comparison. The
 // micro experiment writes its results to -microout (default
 // BENCH_micro.json); the cluster experiment — a real loopback cluster
@@ -33,18 +33,14 @@
 // writes -wanout (default BENCH_wan.json); the chaos experiment — the
 // consistency vulture soaking a shaped cluster through a partition, a
 // SIGKILL+restart and a slow-fsync replica, exiting non-zero on any
-// violation — writes -chaosout (default BENCH_chaos.json); the compare
-// experiment — every registered consensus engine (tempo, epaxos,
-// fpaxos) on the paper's 5-site EC2 topology under the ring chaos
-// profile, swept across key-conflict ratios — writes -compareout
-// (default BENCH_compare.json); the reconfig experiment — a rolling
-// replacement of all three sites of a durable psmr deployment (one
-// graceful drain, two SIGKILL + fence replacements) under load with
-// the vulture attached, exiting non-zero on any violation or when
-// availability outside the takeover windows drops below 0.75x steady
-// — writes -reconfigout (default BENCH_reconfig.json). Successive PRs
-// track the hot-path, failure-path and scaling trajectory through
-// these files.
+// violation — writes -chaosout (default BENCH_chaos.json); the reconfig
+// experiment — a rolling replacement of all three sites of a durable
+// psmr deployment (one graceful drain, two SIGKILL + fence
+// replacements) under load with the vulture attached, exiting non-zero
+// on any violation or when availability outside the takeover windows
+// drops below 0.75x steady — writes -reconfigout (default
+// BENCH_reconfig.json). Successive PRs track the hot-path, failure-path
+// and scaling trajectory through these files.
 package main
 
 import (
@@ -78,9 +74,6 @@ func main() {
 	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "output path for the chaos soak")
 	chaosDur := flag.Duration("chaosdur", 60*time.Second, "total chaos-soak duration, fault schedule included")
 	chaosProfile := flag.String("chaosprofile", "metro", "chaos link profile the soak replicas run under")
-	compareOut := flag.String("compareout", "BENCH_compare.json", "output path for the engine-comparison experiment")
-	compareDur := flag.Duration("comparedur", 3*time.Second, "measured wall-clock time per compare load point")
-	compareWarm := flag.Duration("comparewarm", 1*time.Second, "compare-experiment warmup before measurement")
 	reconfigOut := flag.String("reconfigout", "BENCH_reconfig.json", "output path for the reconfig experiment")
 	reconfigPhase := flag.Duration("reconfigphase", 3*time.Second, "steady-state measurement length of the reconfig experiment")
 	reconfigAvail := flag.Float64("reconfigavail", 0.75, "reconfig availability gate (avail/steady); negative disables the gate, violations stay fatal")
@@ -215,19 +208,6 @@ func main() {
 		}
 	}
 
-	runCompare := func() {
-		results, err := bench.RunCompare(os.Stdout, bench.DefaultCompareConfigs(), *compareDur, *compareWarm)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compare experiment: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteCompareJSON(*compareOut, results, *compareDur); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *compareOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *compareOut)
-	}
-
 	runReconfig := func() {
 		res, err := bench.RunReconfig(os.Stdout, bench.ReconfigOptions{Phase: *reconfigPhase, AvailGate: *reconfigAvail})
 		if werr := bench.WriteReconfigJSON(*reconfigOut, res); werr != nil {
@@ -256,11 +236,10 @@ func main() {
 		"shard":              runShard,
 		"wan":                runWAN,
 		"chaos":              runChaos,
-		"compare":            runCompare,
 		"reconfig":           runReconfig,
 	}
 	order := []string{"fig5", "fig6", "fig7", "fig8", "fig9",
-		"ablation-mbump", "ablation-piggyback", "ablation-f", "micro", "cluster", "fault", "shard", "wan", "chaos", "compare", "reconfig"}
+		"ablation-mbump", "ablation-piggyback", "ablation-f", "micro", "cluster", "fault", "shard", "wan", "chaos", "reconfig"}
 
 	if *exp == "all" {
 		for _, name := range order {

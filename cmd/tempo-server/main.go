@@ -16,12 +16,6 @@
 // protocol are told apart per connection by a 4-byte magic (see
 // docs/ARCHITECTURE.md "Wire dialects").
 //
-// -engine selects the consensus protocol: tempo (default), epaxos or
-// fpaxos (internal/engine). The baselines serve the same client
-// protocol over the same runtime; every replica of a cluster must run
-// the same engine. Durability (-data-dir) is Tempo-only, and sharded
-// mode always runs Tempo.
-//
 // # Sharded mode (-sites)
 //
 // One server process per site, hosting one replica for every shard the
@@ -78,17 +72,16 @@ import (
 
 	"tempo/internal/chaos"
 	"tempo/internal/cluster"
-	"tempo/internal/engine"
 	"tempo/internal/ids"
 	"tempo/internal/membership"
 	"tempo/internal/metrics"
 	"tempo/internal/psmr"
+	"tempo/internal/tempo"
 	"tempo/internal/topology"
 )
 
 func main() {
 	id := flag.Int("id", 1, "single-shard mode: replica id (1-based index into -peers)")
-	engineName := flag.String("engine", engine.Tempo, "consensus engine: tempo, epaxos or fpaxos (single-shard mode; sharded mode always runs tempo)")
 	peers := flag.String("peers", "", "single-shard mode: comma-separated replica addresses, in id order")
 	site := flag.Int("site", 0, "sharded mode: this server's site (0-based index into -sites)")
 	sites := flag.String("sites", "", "sharded mode: comma-separated site addresses; hosts one replica per locally replicated shard")
@@ -124,9 +117,6 @@ func main() {
 	var ctl *chaosCtl
 	var group *psmr.Group
 	if *sites != "" {
-		if *engineName != engine.Tempo {
-			log.Fatalf("-engine %s is single-shard only; sharded deployments (-sites) run tempo", *engineName)
-		}
 		nodes, closeAll, ctl, group = startSharded(*site, *sites, *shards, *shardSites, *f,
 			*batchOps, *batchWindow, *batchPace, *dataDir, *fsync, *snapshotEvery,
 			*chaosProfile, *chaosFsyncDelay, *joinSeed)
@@ -134,7 +124,7 @@ func main() {
 		if *joinSeed != "" {
 			log.Fatal("-join requires sharded mode (-sites)")
 		}
-		nodes, closeAll, ctl = startSingleShard(*id, *engineName, *peers, *f,
+		nodes, closeAll, ctl = startSingleShard(*id, *peers, *f,
 			*batchOps, *batchWindow, *batchPace, *dataDir, *fsync, *snapshotEvery,
 			*chaosProfile, *chaosFsyncDelay)
 	}
@@ -182,8 +172,8 @@ func newChaosCtl(profile string, topo *topology.Topology, site ids.SiteID, fsync
 }
 
 // startSingleShard runs one replica of a full-replication cluster (the
-// historical mode), on the selected consensus engine.
-func startSingleShard(id int, engineName, peers string, f, batchOps int, batchWindow, batchPace time.Duration,
+// historical mode).
+func startSingleShard(id int, peers string, f, batchOps int, batchWindow, batchPace time.Duration,
 	dataDir string, fsync time.Duration, snapshotEvery int,
 	chaosProfile string, chaosFsyncDelay time.Duration) ([]*cluster.Node, func(), *chaosCtl) {
 	addrList := strings.Split(peers, ",")
@@ -213,13 +203,7 @@ func startSingleShard(id int, engineName, peers string, f, batchOps int, batchWi
 	}
 	// Each single-shard replica is its own site: site index = id-1.
 	ctl, fsyncDelay, stopChaos := newChaosCtl(chaosProfile, topo, ids.SiteID(id-1), chaosFsyncDelay)
-	rep, err := engine.New(engineName, ids.ProcessID(id), topo, engineRuntimeConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if dataDir != "" && engineName != engine.Tempo {
-		log.Fatalf("-data-dir requires -engine tempo (%s is not durable)", engineName)
-	}
+	rep := tempo.New(ids.ProcessID(id), topo, tempo.Config{})
 	node := cluster.NewNode(ids.ProcessID(id), rep, addrs)
 	node.SetBatch(batchOps, batchWindow)
 	if batchPace > 0 {
@@ -245,22 +229,11 @@ func startSingleShard(id int, engineName, peers string, f, batchOps int, batchWi
 	if dataDir != "" {
 		mode = "data-dir=" + dataDir
 	}
-	log.Printf("%s replica %d serving on %s (r=%d, f=%d, %s)", engineName, id, node.Addr(), len(addrList), f, mode)
+	log.Printf("tempo replica %d serving on %s (r=%d, f=%d, %s)", id, node.Addr(), len(addrList), f, mode)
 	return []*cluster.Node{node}, func() {
 		node.Close()
 		stopChaos()
 	}, ctl
-}
-
-// engineRuntimeConfig tunes the baselines for a real, lossy network:
-// their recovery machinery (resends, commit/slot catch-up) must be
-// armed, unlike in the loss-free simulator runs. Tempo's defaults
-// already include recovery.
-func engineRuntimeConfig() engine.Config {
-	var cfg engine.Config
-	cfg.EPaxos.ResendInterval = 250 * time.Millisecond
-	cfg.FPaxos.ResendInterval = 250 * time.Millisecond
-	return cfg
 }
 
 // startSharded runs one site of a partial-replication deployment: one

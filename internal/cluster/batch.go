@@ -8,14 +8,6 @@ import (
 	"tempo/internal/ids"
 )
 
-// opSharder maps an operation list to the single shard owning all of its
-// keys (tempo.Process implements it). The batcher only coalesces
-// single-shard requests: merging ops of different shards would turn them
-// into a multi-shard command, changing quorum cost and result shape.
-type opSharder interface {
-	OpsShard(ops []command.Op) (ids.ShardID, bool)
-}
-
 // submitBatcher coalesces client submissions into multi-op commands.
 // Requests arriving within a flush window accumulate, per target shard,
 // until the window closes or the batch reaches maxOps operations; one
@@ -23,10 +15,9 @@ type opSharder interface {
 // all of them, and each request's waiter is completed with its own
 // segment of the per-op results.
 type submitBatcher struct {
-	n       *Node
-	sharder opSharder
-	maxOps  int
-	window  time.Duration
+	n      *Node
+	maxOps int
+	window time.Duration
 	// pace, when non-zero, is the minimum interval between two flushes
 	// of one bucket — a per-shard bound on the consensus round rate.
 	// Each flush then carries at most maxOps operations (the remainder
@@ -60,10 +51,9 @@ type batchBucket struct {
 	timerSet  bool
 }
 
-func newSubmitBatcher(n *Node, sharder opSharder, maxOps int, window time.Duration, pace time.Duration) *submitBatcher {
+func newSubmitBatcher(n *Node, maxOps int, window time.Duration, pace time.Duration) *submitBatcher {
 	return &submitBatcher{
 		n:       n,
-		sharder: sharder,
 		maxOps:  maxOps,
 		window:  window,
 		pace:    pace,

@@ -140,7 +140,7 @@ func TestBatchIndependentResults(t *testing.T) {
 	if batched == nil {
 		t.Fatal("B and C were not coalesced into one 3-op command")
 	}
-	if v, ok := n0.defRep.(*tempo.Process).Store().Get("a"); ok {
+	if v, ok := n0.rep.(*tempo.Process).Store().Get("a"); ok {
 		t.Fatalf("expired put applied: a=%q", v)
 	}
 }

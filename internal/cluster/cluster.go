@@ -3,18 +3,15 @@
 // the server half of the client protocol (submit a command, get the
 // results once it executes locally).
 //
-// The consensus engine is pluggable: a Node drives any proto.Replica
-// that can mint command identifiers (proto.IDMinter) — Tempo, EPaxos and
-// FPaxos all run over this runtime (internal/engine names them). The
-// remaining engine features are optional capabilities detected at Start:
-// proto.DeferredApplier moves execution off the protocol lock onto the
-// node's executor goroutine, Shard()/OpsShard() enable shard routing and
-// the submit batcher, proto.Durable unlocks SetDurable persistence, and
-// proto.LeaderAware engines follow an external leader oracle. Engine
+// A Node drives one Replica — Tempo's process (internal/tempo); the
+// paper's baselines run on the simulator only. Replica names everything
+// the runtime uses, so a replica is checked at compile time: id minting,
+// deferred apply on the node's executor goroutine, durability, the
+// membership frontier, collection gauges and shard routing. Protocol
 // messages cross the peer links through the self-describing binary frame
 // layer: each message type registers its own tag and codec with
 // proto.RegisterWire, so the node never inspects protocol messages. See
-// docs/ARCHITECTURE.md "Pluggable engines".
+// docs/ARCHITECTURE.md "Baselines live in the simulator".
 //
 // There is one transport. Every listener, peer link and client
 // connection belongs to a Group (group.go): a psmr site hosts one node
@@ -65,18 +62,33 @@ import (
 // Node.frameLimit and Group.frameLimit.
 const defaultMaxFrameBytes = 64 << 20
 
+// Replica is the protocol instance a Node drives. tempo.Process
+// implements it.
+type Replica interface {
+	proto.Replica
+	proto.IDMinter
+	proto.DeferredApplier
+	proto.Durable
+	proto.Joiner
+	proto.GCReporter
+	// Shard returns the one shard the replica replicates.
+	Shard() ids.ShardID
+	// OpsShard returns the shard owning every key of ops and true, or
+	// false when the ops span shards. It must be safe to call
+	// concurrently with protocol steps (client routing calls it outside
+	// the protocol lock).
+	OpsShard(ops []command.Op) (ids.ShardID, bool)
+}
+
 // Node runs one replica.
 type Node struct {
 	id    ids.ProcessID
-	rep   proto.Replica
+	rep   Replica
 	addrs map[ids.ProcessID]string
 
-	// sharder maps op lists to shards when the replica supports it;
-	// shard/hasShard identify the (single) shard this replica serves.
-	// Both drive client-request routing and the batcher.
-	sharder  opSharder
-	shard    ids.ShardID
-	hasShard bool
+	// shard is the (single) shard rep serves; with rep.OpsShard it drives
+	// client-request routing and the batcher.
+	shard ids.ShardID
 
 	// transport carries outgoing protocol messages: the Group hosting the
 	// node (AddNode installs it). own is the private Group of one that a
@@ -115,6 +127,11 @@ type Node struct {
 	//tempo:guard
 	mu sync.Mutex // guards rep
 
+	// The executor goroutine takes waitMu and execMu while protocol steps
+	// hold mu; the pads keep the three locks on separate cache lines
+	// (sharing one cost lan.sat about 5 % throughput on a 2-core VM).
+	_ [64]byte
+
 	// waiters maps a pending command id to the client requests riding on
 	// it (one for a direct submission, many for a batched one). Each
 	// member waiter is claimed (claimed flag flipped under waitMu)
@@ -135,21 +152,18 @@ type Node struct {
 
 	// batcher coalesces single-shard client submissions that arrive
 	// within a flush window into one multi-op command (nil when batching
-	// is disabled or the replica cannot map ops to shards).
+	// is disabled).
 	batcher     *submitBatcher
 	batchMaxOps int
 	batchWindow time.Duration
 	batchPace   time.Duration
 
-	// Deferred execution pipeline: when the replica implements
-	// proto.DeferredApplier, protocol steps (under n.mu) only append
-	// newly-stable commands to execQ, and a dedicated executor goroutine
-	// applies them to the state machine and completes waiters — the
-	// critical section shrinks to pure protocol state.
-	defRep proto.DeferredApplier
-	// gcRep is the replica's collection gauges, nil when the engine has
-	// none (see sampleGC).
-	gcRep proto.GCReporter
+	_ [64]byte // see the pad after mu
+
+	// Deferred execution pipeline: protocol steps (under n.mu) only
+	// append newly-stable commands to execQ, and a dedicated executor
+	// goroutine applies them to the state machine and completes waiters —
+	// the critical section shrinks to pure protocol state.
 	//tempo:guard
 	execMu   sync.Mutex
 	execQ    []proto.Stable
@@ -191,10 +205,11 @@ const (
 
 // NewNode creates a node for process id with the given replica and the
 // listen addresses of every process.
-func NewNode(id ids.ProcessID, rep proto.Replica, addrs map[ids.ProcessID]string) *Node {
-	n := &Node{
+func NewNode(id ids.ProcessID, rep Replica, addrs map[ids.ProcessID]string) *Node {
+	return &Node{
 		id:          id,
 		rep:         rep,
+		shard:       rep.Shard(),
 		addrs:       addrs,
 		waiters:     make(map[ids.Dot]*pendingCmd),
 		parked:      make(map[ids.Dot]parkedResult),
@@ -206,14 +221,6 @@ func NewNode(id ids.ProcessID, rep proto.Replica, addrs map[ids.ProcessID]string
 		batchWindow: DefaultBatchWindow,
 		execKick:    make(chan struct{}, 1),
 	}
-	if sh, ok := rep.(opSharder); ok {
-		n.sharder = sh
-	}
-	if sr, ok := rep.(interface{ Shard() ids.ShardID }); ok {
-		n.shard, n.hasShard = sr.Shard(), true
-	}
-	n.gcRep, _ = rep.(proto.GCReporter)
-	return n
 }
 
 // Transport carries a node's outgoing protocol messages. A Group
@@ -321,9 +328,6 @@ func (n *Node) StartListener(ln net.Listener) error {
 // here — the group's listener must already be accepting, so restarting
 // sites can answer each other's state-catch-up requests mid-recovery.
 func (n *Node) StartHosted() error {
-	if err := n.validateEngine(); err != nil {
-		return err
-	}
 	if n.dur != nil {
 		if err := n.recoverDurable(); err != nil {
 			return fmt.Errorf("cluster: durable recovery: %w", err)
@@ -333,26 +337,13 @@ func (n *Node) StartHosted() error {
 	// durable recovery it composes with the recovery-time reservations
 	// (engines' Restore/JoinFloor take maxes).
 	n.applyJoinFloor()
-	if dr, ok := n.rep.(proto.DeferredApplier); ok {
-		dr.SetDeferredApply(true)
-		n.defRep = dr
-		go n.execLoop()
-	}
-	if n.sharder != nil && n.batchMaxOps > 1 && n.batchWindow > 0 {
-		n.batcher = newSubmitBatcher(n, n.sharder, n.batchMaxOps, n.batchWindow, n.batchPace)
+	n.rep.SetDeferredApply(true)
+	go n.execLoop()
+	if n.batchMaxOps > 1 && n.batchWindow > 0 {
+		n.batcher = newSubmitBatcher(n, n.batchMaxOps, n.batchWindow, n.batchPace)
 	}
 	n.ready.Store(true)
 	go n.tickLoop()
-	return nil
-}
-
-// validateEngine rejects replicas missing a required capability before
-// any goroutine starts, so a misconfigured engine fails loudly at boot
-// instead of panicking on the first submitted command.
-func (n *Node) validateEngine() error {
-	if _, ok := n.rep.(proto.IDMinter); !ok {
-		return fmt.Errorf("cluster: engine %T does not implement proto.IDMinter", n.rep)
-	}
 	return nil
 }
 
@@ -501,15 +492,13 @@ func (n *Node) submit(w *waiter, ops []command.Op) {
 		}
 		return
 	}
-	if n.sharder != nil {
-		shard, single := n.sharder.OpsShard(ops)
-		if single && n.batcher != nil {
-			n.batcher.add(shard, w, ops)
-			return
-		}
-		if !single {
-			n.stat.crossSubmitted.Add(1)
-		}
+	shard, single := n.rep.OpsShard(ops)
+	if single && n.batcher != nil {
+		n.batcher.add(shard, w, ops)
+		return
+	}
+	if !single {
+		n.stat.crossSubmitted.Add(1)
 	}
 	w.nvals = -1
 	n.submitCmd([]*waiter{w}, ops)
@@ -529,7 +518,7 @@ func (n *Node) submit(w *waiter, ops []command.Op) {
 // and enqueue work for an executor that already exited).
 func (n *Node) submitCmd(members []*waiter, ops []command.Op) {
 	n.mu.Lock()
-	id := n.rep.(proto.IDMinter).NextID()
+	id := n.rep.NextID()
 	n.waitMu.Lock()
 	select {
 	case <-n.done:
@@ -748,10 +737,9 @@ func (n *Node) tickLoop() {
 }
 
 // afterStepLocked sends actions and routes newly-stable commands to the
-// execution pipeline. Callers hold n.mu. With a deferred-applying
-// replica the step only enqueues onto execQ (the executor goroutine
-// applies and completes waiters off the lock); otherwise execution
-// already happened inline and the results are completed here.
+// execution pipeline. Callers hold n.mu. The step only enqueues onto
+// execQ; the executor goroutine applies and completes waiters off the
+// lock.
 func (n *Node) afterStepLocked(acts []proto.Action) {
 	// The reservation check runs before any of the step's messages are
 	// released to the (concurrently draining) link writers: when the
@@ -764,28 +752,16 @@ func (n *Node) afterStepLocked(acts []proto.Action) {
 			n.transport.Send(n.id, to, a.Msg)
 		}
 	}
-	if n.defRep != nil {
-		st := n.defRep.DrainStable()
-		if len(st) == 0 {
-			return
-		}
-		n.execMu.Lock()
-		n.execQ = append(n.execQ, st...)
-		n.execMu.Unlock()
-		select {
-		case n.execKick <- struct{}{}:
-		default:
-		}
+	st := n.rep.DrainStable()
+	if len(st) == 0 {
 		return
 	}
-	ex := n.rep.Drain()
-	for _, e := range ex {
-		n.stat.appliedCmds.Add(1)
-		if n.crossShardCmd(e.Cmd.Ops) {
-			n.completeOrPark(e.Cmd, e.Result.Values)
-		} else {
-			n.completeCmd(e.Cmd.ID, e.Result.Values)
-		}
+	n.execMu.Lock()
+	n.execQ = append(n.execQ, st...)
+	n.execMu.Unlock()
+	select {
+	case n.execKick <- struct{}{}:
+	default:
 	}
 }
 
@@ -808,7 +784,7 @@ func (n *Node) execLoop() {
 			if n.execObserver != nil {
 				n.execObserver(it)
 			}
-			res := n.defRep.ApplyStable(it.Cmd, it.TS)
+			res := n.rep.ApplyStable(it.Cmd, it.TS)
 			n.stat.appliedCmds.Add(1)
 			// The WAL record precedes the replies: with a zero sync
 			// interval the command is durable before any client sees its

@@ -4,64 +4,42 @@ import (
 	"testing"
 	"time"
 
+	"tempo/internal/cluster"
 	"tempo/internal/cluster/conformancetest"
 	"tempo/internal/command"
-	"tempo/internal/engine"
-	"tempo/internal/epaxos"
-	"tempo/internal/fpaxos"
 	"tempo/internal/ids"
 	"tempo/internal/proto"
 	"tempo/internal/tempo"
 	"tempo/internal/topology"
 )
 
-// conformanceConfig arms every engine's recovery timers aggressively:
-// the partition scenarios depend on resend/recovery to re-drive rounds
-// that stalled while a replica was cut off.
-func conformanceConfig() engine.Config {
-	return engine.Config{
-		Tempo:  tempo.Config{PromiseInterval: time.Millisecond, RecoveryTimeout: 250 * time.Millisecond},
-		EPaxos: epaxos.Config{ResendInterval: 50 * time.Millisecond},
-		FPaxos: fpaxos.Config{ResendInterval: 50 * time.Millisecond},
-	}
+// conformanceReplica arms Tempo's recovery timers aggressively: the
+// partition scenarios depend on recovery to re-drive rounds that stalled
+// while a replica was cut off.
+func conformanceReplica(id ids.ProcessID, topo *topology.Topology) *tempo.Process {
+	return tempo.New(id, topo, tempo.Config{PromiseInterval: time.Millisecond, RecoveryTimeout: 250 * time.Millisecond})
 }
 
-// conformanceEngine adapts a registry engine name to the suite's Engine.
-// EPaxos orders only conflicting commands, so it alone skips the
-// total-order check.
-func conformanceEngine(name string) conformancetest.Engine {
-	return conformancetest.Engine{
-		Name:       name,
-		TotalOrder: name != engine.EPaxos,
-		New: func(id ids.ProcessID, topo *topology.Topology) proto.Replica {
-			rep, err := engine.New(name, id, topo, conformanceConfig())
-			if err != nil {
-				panic(err)
-			}
-			return rep
-		},
-	}
-}
-
-// TestConformance runs the shared conformance suite over every engine
-// the registry knows: the acceptance gate for calling an engine
-// runnable on the cluster stack.
+// TestConformance runs the shared conformance suite over Tempo, the
+// engine the cluster runtime ships.
 func TestConformance(t *testing.T) {
-	for _, name := range engine.Names() {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			conformancetest.Run(t, conformanceEngine(name))
+	t.Run("tempo", func(t *testing.T) {
+		conformancetest.Run(t, conformancetest.Engine{
+			Name: "tempo",
+			New: func(id ids.ProcessID, topo *topology.Topology) cluster.Replica {
+				return conformanceReplica(id, topo)
+			},
 		})
-	}
+	})
 }
 
-// brokenReplica is FPaxos with a sabotaged apply pipeline: DrainStable
+// brokenReplica is Tempo with a sabotaged apply pipeline: DrainStable
 // buffers execution-stable commands and releases adjacent pairs
 // swapped, so one replica applies a different order than everyone else.
 // Only called under the node's protocol lock, so pend needs no lock of
 // its own.
 type brokenReplica struct {
-	*fpaxos.Process
+	*tempo.Process
 	pend []proto.Stable
 }
 
@@ -75,16 +53,15 @@ func (b *brokenReplica) DrainStable() []proto.Stable {
 	return out
 }
 
-// TestConformanceCatchesReordering proves the suite has teeth: an
-// engine whose replica 1 swaps adjacent stable commands must fail the
+// TestConformanceCatchesReordering proves the suite has teeth: a
+// replica 1 that swaps adjacent stable commands must fail the
 // linearizability scenario (its log diverges from the other replicas').
 func TestConformanceCatchesReordering(t *testing.T) {
 	t.Parallel()
 	e := conformancetest.Engine{
-		Name:       "broken-swap",
-		TotalOrder: true,
-		New: func(id ids.ProcessID, topo *topology.Topology) proto.Replica {
-			p := fpaxos.New(id, topo, fpaxos.Config{ResendInterval: 50 * time.Millisecond})
+		Name: "broken-swap",
+		New: func(id ids.ProcessID, topo *topology.Topology) cluster.Replica {
+			p := conformanceReplica(id, topo)
 			if id == 1 {
 				return &brokenReplica{Process: p}
 			}
@@ -93,15 +70,15 @@ func TestConformanceCatchesReordering(t *testing.T) {
 	}
 	err := conformancetest.Linearizability(e)
 	if err == nil {
-		t.Fatal("conformance suite passed an engine that reorders execution on one replica")
+		t.Fatal("conformance suite passed a replica that reorders execution")
 	}
-	t.Logf("suite caught the broken engine: %v", err)
+	t.Logf("suite caught the broken replica: %v", err)
 }
 
-// muteReplica is FPaxos that silently drops every client submission —
-// a liveness hole rather than a safety one.
+// muteReplica is Tempo that silently drops every client submission — a
+// liveness hole rather than a safety one.
 type muteReplica struct {
-	*fpaxos.Process
+	*tempo.Process
 }
 
 func (m *muteReplica) Submit(cmd *command.Command) []proto.Action { return nil }
@@ -112,10 +89,9 @@ func (m *muteReplica) Submit(cmd *command.Command) []proto.Action { return nil }
 func TestConformanceCatchesMutedSubmit(t *testing.T) {
 	t.Parallel()
 	e := conformancetest.Engine{
-		Name:       "broken-mute",
-		TotalOrder: true,
-		New: func(id ids.ProcessID, topo *topology.Topology) proto.Replica {
-			p := fpaxos.New(id, topo, fpaxos.Config{ResendInterval: 50 * time.Millisecond})
+		Name: "broken-mute",
+		New: func(id ids.ProcessID, topo *topology.Topology) cluster.Replica {
+			p := conformanceReplica(id, topo)
 			if id == 3 {
 				return &muteReplica{Process: p}
 			}
@@ -124,7 +100,7 @@ func TestConformanceCatchesMutedSubmit(t *testing.T) {
 	}
 	err := conformancetest.Deadline(e)
 	if err == nil {
-		t.Fatal("conformance suite passed an engine that drops submissions")
+		t.Fatal("conformance suite passed a replica that drops submissions")
 	}
-	t.Logf("suite caught the mute engine: %v", err)
+	t.Logf("suite caught the mute replica: %v", err)
 }

@@ -1,20 +1,17 @@
-// Package conformancetest is the protocol-agnostic conformance suite of
-// the cluster runtime: a reusable harness that boots a real 3-replica
-// TCP cluster on loopback around any pluggable consensus engine (a
-// proto.Replica constructor — Tempo, EPaxos, FPaxos, or anything new)
-// and drives it through the scenarios every engine must survive:
-// linearizable history under concurrent conflicting sessions, server-
-// side batching, client deadline propagation, a partition and heal via
-// cluster.Shaper, and — for engines implementing proto.Durable — a
-// kill-style restart on the same data directory.
+// Package conformancetest is the conformance suite of the cluster
+// runtime: a reusable harness that boots a real 3-replica TCP cluster on
+// loopback around a cluster.Replica constructor and drives it through
+// the scenarios the runtime must survive: linearizable history under
+// concurrent conflicting sessions, server-side batching, client deadline
+// propagation, a partition and heal via cluster.Shaper, a kill-style
+// restart on the same data directory, and a live membership change.
 //
 // Every scenario is an error-returning function over an Engine, so the
 // suite is its own test subject: internal/cluster's conformance tests
-// run the matrix over the real engines AND prove the suite fails a
-// deliberately broken engine. Executions are captured through
-// cluster.Node.SetExecObserver and verified offline with check.Checker;
-// engines declaring TotalOrder are additionally held to the prefix-
-// total-order property (Tempo, FPaxos — EPaxos only orders conflicts).
+// run it over Tempo AND prove it fails deliberately broken replicas.
+// Executions are captured through cluster.Node.SetExecObserver and
+// verified offline with check.Checker, including the prefix-total-order
+// property.
 package conformancetest
 
 import (
@@ -36,38 +33,24 @@ import (
 	"tempo/internal/topology"
 )
 
-// Engine is one consensus engine under test: a name for subtests and a
+// Engine is the replica under test: a name for subtests and a
 // constructor producing its replica for one process of the topology.
+// The negative controls wrap Tempo in deliberately broken replicas.
 type Engine struct {
 	// Name labels subtests and error messages.
 	Name string
-	// New constructs the engine's replica for process id. The replica
-	// must satisfy the cluster runtime's required capabilities
-	// (proto.IDMinter) and, for execution-log capture, defer apply
-	// (proto.DeferredApplier). Recovery timers should be armed short:
-	// the partition scenarios rely on them to re-drive stalled rounds.
-	New func(id ids.ProcessID, topo *topology.Topology) proto.Replica
-	// TotalOrder additionally asserts that all replicas execute one
-	// common total order per shard (Tempo, FPaxos). Leave false for
-	// engines that only order conflicting commands (EPaxos).
-	TotalOrder bool
-}
-
-// durable reports whether the engine's replicas support runtime
-// persistence (proto.Durable) — the gate of the restart scenario.
-func (e Engine) durable() bool {
-	topo := harnessTopo()
-	_, ok := e.New(topo.Processes()[0].ID, topo).(proto.Durable)
-	return ok
+	// New constructs the replica for process id. Recovery timers should
+	// be armed short: the partition scenarios rely on them to re-drive
+	// stalled rounds.
+	New func(id ids.ProcessID, topo *topology.Topology) cluster.Replica
 }
 
 // harnessTopo is the suite's fixed shape: three single-shard sites at
 // f=1, with RTTs growing in site distance so quorum selection is
 // deterministic — FastQuorum(1, 2) = {1, 2}, which leaves process 3
-// outside every quorum the scenarios' coordinator (process 1) or a
-// leader at site 0 relies on, making it the safe partition victim for
-// every engine. The RTTs only steer quorum choice; no link is actually
-// shaped.
+// outside every quorum the scenarios' coordinator (process 1) relies
+// on, making it the safe partition victim. The RTTs only steer quorum
+// choice; no link is actually shaped.
 func harnessTopo() *topology.Topology {
 	names := []string{"c0", "c1", "c2"}
 	rtt := make([][]time.Duration, len(names))
@@ -91,8 +74,8 @@ func harnessTopo() *topology.Topology {
 }
 
 // victim is the process the partition scenarios cut off: by
-// harnessTopo's RTT shape it sits in no coordinator-1 or leader fast
-// quorum, so the cluster keeps committing while it is gone.
+// harnessTopo's RTT shape it sits in no coordinator-1 fast quorum, so
+// the cluster keeps committing while it is gone.
 const victim = ids.ProcessID(3)
 
 // Options tunes a conformance Cluster.
@@ -105,7 +88,7 @@ type Options struct {
 	// BatchWindow is the batching flush window (see BatchOps).
 	BatchWindow time.Duration
 	// DataDir, when set, starts every node durable in its own
-	// subdirectory. Only valid for engines implementing proto.Durable.
+	// subdirectory.
 	DataDir string
 }
 
@@ -391,12 +374,15 @@ func (c *Cluster) Pids() []ids.ProcessID {
 
 // Verify replays the captured execution logs through check.Checker:
 // Validity (at-most-once per incarnation, every executed write issued
-// by this harness) and Ordering (conflicting pairs acyclic across all
-// logs); totalOrder additionally requires one common per-shard prefix
-// order. Call after WaitExecuted so slow replicas are not mistaken for
+// by this harness), Ordering (conflicting pairs acyclic across all
+// logs) and one common per-shard total order that every process's first
+// incarnation executed a prefix of. A restarted or successor
+// incarnation's log starts mid-stream, which the from-index-0 prefix
+// comparison cannot represent, so it is held to Validity and Ordering
+// only. Call after WaitExecuted so slow replicas are not mistaken for
 // divergent ones.
-func (c *Cluster) Verify(totalOrder bool) error {
-	return c.rec.verify(c.eng.Name, totalOrder)
+func (c *Cluster) Verify() error {
+	return c.rec.verify(c.eng.Name)
 }
 
 // recorder captures per-process execution logs (via exec observers) and
@@ -488,10 +474,10 @@ func (r *recorder) opCounts(procs []ids.ProcessID) map[ids.ProcessID]int {
 }
 
 // verify implements Cluster.Verify on a consistent snapshot.
-func (r *recorder) verify(engine string, totalOrder bool) error {
+func (r *recorder) verify(engine string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	chk := check.New()
+	chk, first := check.New(), check.New()
 	for _, cmd := range r.cmds {
 		for _, op := range cmd.Ops {
 			if op.Kind == command.Put && !r.issued[string(op.Value)] {
@@ -502,19 +488,21 @@ func (r *recorder) verify(engine string, totalOrder bool) error {
 		chk.Submitted(cmd)
 	}
 	for pid, incs := range r.logs {
-		for _, in := range incs {
+		for i, in := range incs {
 			order := make([]ids.Dot, len(in.order))
 			copy(order, in.order)
-			chk.Executed(check.Log{Process: pid, Shard: 0, Order: order})
+			l := check.Log{Process: pid, Shard: 0, Order: order}
+			chk.Executed(l)
+			if i == 0 {
+				first.Executed(l)
+			}
 		}
 	}
 	if err := chk.Verify(); err != nil {
 		return fmt.Errorf("conformance: %s: %w", engine, err)
 	}
-	if totalOrder {
-		if err := chk.VerifyTotalOrder(); err != nil {
-			return fmt.Errorf("conformance: %s: %w", engine, err)
-		}
+	if err := first.VerifyTotalOrder(); err != nil {
+		return fmt.Errorf("conformance: %s: %w", engine, err)
 	}
 	return nil
 }

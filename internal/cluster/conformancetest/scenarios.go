@@ -14,17 +14,14 @@ import (
 	"tempo/internal/command"
 	"tempo/internal/ids"
 	"tempo/internal/membership"
-	"tempo/internal/proto"
 )
 
 // Scenario is one conformance property: an error-returning check over an
 // Engine, so test suites can both run it (expect nil) and prove the
-// suite's teeth on a deliberately broken engine (expect non-nil).
+// suite's teeth on a deliberately broken replica (expect non-nil).
 type Scenario struct {
 	// Name labels the subtest.
 	Name string
-	// NeedsDurable gates the scenario on proto.Durable engines.
-	NeedsDurable bool
 	// Run executes the scenario against a fresh cluster of e's replicas.
 	Run func(e Engine) error
 }
@@ -36,19 +33,15 @@ func Scenarios() []Scenario {
 		{Name: "Batching", Run: Batching},
 		{Name: "Deadline", Run: Deadline},
 		{Name: "PartitionHeal", Run: PartitionHeal},
-		{Name: "DurableRestart", NeedsDurable: true, Run: DurableRestart},
+		{Name: "DurableRestart", Run: DurableRestart},
 		{Name: "Reconfig", Run: Reconfig},
 	}
 }
 
-// Run executes every applicable scenario against e as subtests of t —
-// the entry point engine test suites call.
+// Run executes every scenario against e as subtests of t.
 func Run(t *testing.T, e Engine) {
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
-			if sc.NeedsDurable && !e.durable() {
-				t.Skipf("engine %s does not implement proto.Durable", e.Name)
-			}
 			if err := sc.Run(e); err != nil {
 				t.Fatal(err)
 			}
@@ -60,8 +53,7 @@ func Run(t *testing.T, e Engine) {
 // across all three replicas so every replica coordinates — through a
 // pipelined mix of writes and reads over four heavily conflicting keys,
 // then verifies the captured execution logs: validity, conflict-order
-// acyclicity and (for TotalOrder engines) a single per-shard total
-// order.
+// acyclicity and a single per-shard total order.
 func Linearizability(e Engine) error {
 	c, err := Start(e, Options{})
 	if err != nil {
@@ -103,7 +95,7 @@ func Linearizability(e Engine) error {
 	if err := c.WaitExecuted(pids, c.AckedOps(), 20*time.Second); err != nil {
 		return err
 	}
-	return c.Verify(e.TotalOrder)
+	return c.Verify()
 }
 
 // Batching reruns the conflicting-write load with server-side submit
@@ -149,7 +141,7 @@ func Batching(e Engine) error {
 	if err := c.WaitExecuted(c.Pids(), c.AckedOps(), 20*time.Second); err != nil {
 		return err
 	}
-	return c.Verify(e.TotalOrder)
+	return c.Verify()
 }
 
 // Deadline isolates one replica and writes through it with a short
@@ -201,15 +193,14 @@ func Deadline(e Engine) error {
 	if err := c.WaitExecuted(c.Pids(), c.AckedOps(), 20*time.Second); err != nil {
 		return err
 	}
-	return c.Verify(e.TotalOrder)
+	return c.Verify()
 }
 
 // PartitionHeal cuts the quorum-external replica off mid-stream: the
 // cluster must keep committing writes during the partition, and after
 // the heal the victim must catch up on everything it missed — driven by
-// whatever recovery machinery the engine has (Tempo recovery, EPaxos
-// commit requests, FPaxos slot requests) — until a consensus read at
-// the victim observes the latest write.
+// promise gossip and commit requests — until a consensus read at the
+// victim observes the latest write.
 func PartitionHeal(e Engine) error {
 	c, err := Start(e, Options{})
 	if err != nil {
@@ -264,7 +255,7 @@ func PartitionHeal(e Engine) error {
 	if got != last {
 		return fmt.Errorf("conformance: %s: read at healed replica = %q, want %q", e.Name, got, last)
 	}
-	return c.Verify(e.TotalOrder)
+	return c.Verify()
 }
 
 // DurableRestart stops the quorum-external replica, keeps writing
@@ -272,10 +263,8 @@ func PartitionHeal(e Engine) error {
 // directory and address: it must recover its state, observe the writes
 // it missed and serve new consensus reads and writes. (The out-of-
 // process SIGKILL variant lives in the cluster package's crash e2e
-// test; this in-process variant is what makes the scenario runnable for
-// any Durable engine.) Logs are verified without the total-order check:
-// the restarted incarnation's observed log starts mid-stream, which the
-// from-index-0 prefix comparison cannot represent.
+// test.) The restarted incarnation's log starts mid-stream, so Verify
+// holds it to Validity and Ordering only.
 func DurableRestart(e Engine) error {
 	dir, err := os.MkdirTemp("", "conformance-"+e.Name+"-")
 	if err != nil {
@@ -343,19 +332,19 @@ func DurableRestart(e Engine) error {
 	if err != nil || got != "dr-after-restart" {
 		return fmt.Errorf("conformance: %s: read-back through restarted replica = %q, %v", e.Name, got, err)
 	}
-	return c.Verify(false)
+	return c.Verify()
 }
 
 // Reconfig drains the quorum-external replica out of the cluster and
 // admits a fresh successor on a new address and incarnation — a full
 // dynamic-membership epoch change, mid-run, driven entirely through
-// the wire config protocol (push, frontier query) against every
-// engine. Liveness: writes must keep completing through every phase,
-// a refresh-enabled session homed on the victim must re-route off the
-// draining replica and return to the slot once the successor is
-// active, and the successor must serve. Safety: the captured logs
-// must still verify across the epoch change (without the total-order
-// check — the successor's log starts mid-stream, like a restart).
+// the wire config protocol (push, frontier query). Liveness: writes
+// must keep completing through every phase, a refresh-enabled session
+// homed on the victim must re-route off the draining replica and
+// return to the slot once the successor is active, and the successor
+// must serve. Safety: the captured logs must still verify across the
+// epoch change (the successor's log starts mid-stream, like a
+// restart, so Verify holds it to Validity and Ordering only).
 func Reconfig(e Engine) error {
 	c, err := Start(e, Options{})
 	if err != nil {
@@ -493,12 +482,7 @@ func Reconfig(e Engine) error {
 	}
 	n.SetMembership(view)
 	n.SetJoinFloor(floorClock, floorSeq)
-	if _, durable := rep.(proto.Durable); durable {
-		if err := n.BootstrapFromPeers(); err != nil {
-			ln.Close()
-			return fmt.Errorf("conformance: %s: successor bootstrap: %w", e.Name, err)
-		}
-	}
+	n.BootstrapFromPeers()
 	if err := n.StartListener(ln); err != nil {
 		return fmt.Errorf("conformance: %s: start successor: %w", e.Name, err)
 	}
@@ -556,9 +540,9 @@ func Reconfig(e Engine) error {
 	}
 
 	// The survivors hold the full history; the successor's incarnation
-	// starts mid-stream, so logs verify without the total-order check.
+	// starts mid-stream.
 	if err := c.WaitExecuted([]ids.ProcessID{1, 2}, c.AckedOps(), 30*time.Second); err != nil {
 		return err
 	}
-	return c.Verify(false)
+	return c.Verify()
 }

@@ -8,7 +8,6 @@ import (
 
 	"tempo/internal/command"
 	"tempo/internal/ids"
-	"tempo/internal/proto"
 )
 
 // Client serving, single- and cross-shard.
@@ -160,10 +159,9 @@ func wrongShardErr(s ids.ShardID) command.WireError {
 func (n *Node) mintBlock(count int) ids.Dot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m := n.rep.(proto.IDMinter)
-	first := m.NextID()
+	first := n.rep.NextID()
 	for i := 1; i < count; i++ {
-		m.NextID()
+		n.rep.NextID()
 	}
 	if hi := first.Seq + uint64(count) - 1; hi > n.lastSeq {
 		n.lastSeq = hi
@@ -315,7 +313,7 @@ func (n *Node) completeOrPark(cmd *command.Command, values [][]byte) {
 // watches only the others, and submitCmdAt never reads parked results.
 func (n *Node) watched(ops []command.Op) bool {
 	for i := range ops {
-		if s, _ := n.sharder.OpsShard(ops[i : i+1]); s < n.shard {
+		if s, _ := n.rep.OpsShard(ops[i : i+1]); s < n.shard {
 			return true
 		}
 	}
@@ -332,14 +330,4 @@ func (n *Node) sweepParked(now time.Time) {
 		}
 	}
 	n.waitMu.Unlock()
-}
-
-// crossShardCmd reports whether an executed command's ops span shards
-// (such commands route results through completeOrPark).
-func (n *Node) crossShardCmd(ops []command.Op) bool {
-	if n.sharder == nil {
-		return false
-	}
-	_, ok := n.sharder.OpsShard(ops)
-	return !ok
 }

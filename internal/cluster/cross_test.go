@@ -269,7 +269,7 @@ func TestMintBlockAdvancesSequence(t *testing.T) {
 	}
 	// A subsequent server-minted id lands above both blocks.
 	n.mu.Lock()
-	next := n.rep.(proto.IDMinter).NextID()
+	next := n.rep.NextID()
 	n.mu.Unlock()
 	if next.Seq < b.Seq+16 {
 		t.Fatalf("server mint %d inside client block %d..%d", next.Seq, b.Seq, b.Seq+15)

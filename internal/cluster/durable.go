@@ -106,19 +106,12 @@ type durability struct {
 // (see the sync protocol below).
 var SyncMagic = [4]byte{0xFF, 'T', 'Y', 1}
 
-// SetDurable enables persistence. Call before Start; the replica must
-// implement proto.Durable and proto.DeferredApplier (tempo.Process
-// does). Recovery — snapshot load, WAL replay, reservation restore —
-// runs inside Start/StartListener before the node serves.
+// SetDurable enables persistence. Call before Start. Recovery — snapshot
+// load, WAL replay, reservation restore — runs inside
+// Start/StartListener before the node serves.
 func (n *Node) SetDurable(cfg DurableConfig) error {
 	if cfg.Dir == "" {
 		return fmt.Errorf("cluster: durable node needs a data directory")
-	}
-	if _, ok := n.rep.(proto.Durable); !ok {
-		return fmt.Errorf("cluster: replica %T does not implement proto.Durable", n.rep)
-	}
-	if _, ok := n.rep.(proto.DeferredApplier); !ok {
-		return fmt.Errorf("cluster: durable mode needs a deferred-applying replica, %T is not", n.rep)
 	}
 	if cfg.SyncInterval == 0 {
 		cfg.SyncInterval = defaultSyncInterval
@@ -129,7 +122,7 @@ func (n *Node) SetDurable(cfg DurableConfig) error {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
-	n.dur = &durability{cfg: cfg, rep: n.rep.(proto.Durable)}
+	n.dur = &durability{cfg: cfg, rep: n.rep}
 	return nil
 }
 
@@ -156,7 +149,6 @@ func (n *Node) recoverDurable() error {
 	var clockHi, seqHi uint64
 	var wmTS uint64
 	var wmID ids.Dot
-	applier := n.rep.(proto.DeferredApplier)
 	replayed := 0
 	if err := l.Replay(func(typ byte, body []byte) error {
 		switch typ {
@@ -165,7 +157,7 @@ func (n *Node) recoverDurable() error {
 			if err != nil {
 				return err
 			}
-			applier.ApplyStable(cmd, ts)
+			n.rep.ApplyStable(cmd, ts)
 			wmTS, wmID = ts, cmd.ID
 			replayed++
 		case wal.RecMark:
@@ -363,15 +355,11 @@ func tsPointLess(aTS uint64, aID ids.Dot, bTS uint64, bID ids.Dot) bool {
 // heal the WAL's unsynced tail. The peer set defaults to every address
 // (the single-shard deployments) and is restricted by SetSyncPeers in
 // sharded ones, where other shards' processes hold a different state
-// machine. It needs only proto.Durable, not a data directory: the join
-// flow bootstraps fresh (possibly non-durable) replicas through the
-// same round (BootstrapFromPeers), and addresses resolve through the
-// membership view when one is installed.
+// machine. It needs no data directory: the join flow bootstraps fresh
+// (possibly non-durable) replicas through the same round
+// (BootstrapFromPeers), and addresses resolve through the membership
+// view when one is installed.
 func (n *Node) syncFromPeers() {
-	rep, isDurable := n.rep.(proto.Durable)
-	if !isDurable {
-		return
-	}
 	caughtUp := false
 	addrs := n.peerAddrs()
 	peers := n.syncPeers
@@ -385,7 +373,7 @@ func (n *Node) syncFromPeers() {
 		if pid == n.id || !ok {
 			continue
 		}
-		myTS, myID := rep.AppliedWM()
+		myTS, myID := n.rep.AppliedWM()
 		snap, err := fetchPeerSnapshot(addr, n.id, myTS, myID, n.frameLimit)
 		if err != nil {
 			// Dial failures are the normal cold-start case; anything
@@ -401,14 +389,14 @@ func (n *Node) syncFromPeers() {
 		if snap == nil {
 			continue
 		}
-		if _, _, err := rep.RestoreFrom(bytes.NewReader(snap)); err != nil {
+		if _, _, err := n.rep.RestoreFrom(bytes.NewReader(snap)); err != nil {
 			log.Printf("cluster: node %d peer snapshot from %d install failed: %v", n.id, pid, err)
 			continue
 		}
 		caughtUp = true
 	}
 	if caughtUp {
-		ts, id := rep.AppliedWM()
+		ts, id := n.rep.AppliedWM()
 		log.Printf("cluster: node %d caught up from peers (wm ts=%d id=%v)", n.id, ts, id)
 	}
 }
@@ -496,18 +484,14 @@ func readSyncRequest(conn net.Conn, br *bufio.Reader, limit uint64) (syncRequest
 // answerSync ships a snapshot if ours is newer than the requester's
 // watermark; ours is embedded in the snapshot itself.
 func (n *Node) answerSync(conn net.Conn, req syncRequest) {
-	d, ok := n.rep.(proto.Durable)
-	if !ok {
-		return
-	}
-	myTS, myID := d.AppliedWM()
+	myTS, myID := n.rep.AppliedWM()
 	if !tsPointLess(req.TS, req.ID, myTS, myID) {
 		conn.Write([]byte{1, 0}) // frame(0): up to date
 		return
 	}
 	var snap bytes.Buffer
 	snap.WriteByte(1)
-	if err := d.SnapshotTo(&snap); err != nil {
+	if err := n.rep.SnapshotTo(&snap); err != nil {
 		return
 	}
 	if uint64(snap.Len()) > n.frameLimit {

@@ -540,13 +540,9 @@ func (g *Group) untrackPeerConn(conn net.Conn) {
 // routeSubmit picks the hosted node serving a plain submission: ops of
 // a shard no hosted node replicates are rejected as ErrCodeWrongShard,
 // ops spanning shards as ErrCodeCrossShard — a merged result needs
-// submit-at/watch. Engines without a shard map take whatever arrives.
+// submit-at/watch.
 func (g *Group) routeSubmit(ops []command.Op) (*Node, command.WireError) {
-	sharder := g.list[0].sharder
-	if sharder == nil {
-		return g.list[0], command.WireError{}
-	}
-	s, ok := sharder.OpsShard(ops)
+	s, ok := g.list[0].rep.OpsShard(ops)
 	if !ok {
 		return nil, command.WireError{Code: command.ErrCodeCrossShard,
 			Msg: "operations span shards; use cross-shard submission"}

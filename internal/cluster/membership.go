@@ -9,7 +9,6 @@ import (
 
 	"tempo/internal/ids"
 	"tempo/internal/membership"
-	"tempo/internal/proto"
 )
 
 // Dynamic membership at the runtime layer. A Node (or Group) given a
@@ -72,17 +71,11 @@ func installPushed(v *membership.View, cfg *membership.Config, who string) {
 
 // Frontier returns the highest logical-clock value and command-
 // sequence number this node's replica has observed from pid — the
-// successor-safety query of the drain-less replace flow. ok is false
-// when the engine cannot answer (no proto.Joiner).
-func (n *Node) Frontier(pid ids.ProcessID) (clock, seq uint64, ok bool) {
-	j, isJoiner := n.rep.(proto.Joiner)
-	if !isJoiner {
-		return 0, 0, false
-	}
+// successor-safety query of the drain-less replace flow.
+func (n *Node) Frontier(pid ids.ProcessID) (clock, seq uint64) {
 	n.mu.Lock()
-	clock, seq = j.ObservedFrom(pid)
-	n.mu.Unlock()
-	return clock, seq, true
+	defer n.mu.Unlock()
+	return n.rep.ObservedFrom(pid)
 }
 
 // SetJoinFloor installs the successor-safety floors for a replica
@@ -101,13 +94,8 @@ func (n *Node) applyJoinFloor() {
 	if n.joinClock == 0 && n.joinSeq == 0 {
 		return
 	}
-	j, ok := n.rep.(proto.Joiner)
-	if !ok {
-		log.Printf("cluster: node %d has a join floor but engine %T implements no proto.Joiner", n.id, n.rep)
-		return
-	}
 	n.mu.Lock()
-	j.JoinFloor(n.joinClock, n.joinSeq)
+	n.rep.JoinFloor(n.joinClock, n.joinSeq)
 	if n.joinSeq > n.lastSeq {
 		n.lastSeq = n.joinSeq
 	}
@@ -121,16 +109,11 @@ func (n *Node) applyJoinFloor() {
 // BootstrapFromPeers runs one state-catch-up round against the
 // replica's shard peers before the node starts serving: the join
 // flow's snapshot bootstrap. It reuses the durable runtime's sync
-// protocol but needs no data directory — any proto.Durable engine can
-// install a peer snapshot. Call after SetMembership/SetSyncPeers and
-// before Start (durable nodes run the same round inside recovery
-// anyway and need no separate call).
-func (n *Node) BootstrapFromPeers() error {
-	if _, ok := n.rep.(proto.Durable); !ok {
-		return fmt.Errorf("cluster: engine %T cannot bootstrap (no proto.Durable)", n.rep)
-	}
+// protocol but needs no data directory. Call after
+// SetMembership/SetSyncPeers and before Start (durable nodes run the same
+// round inside recovery anyway and need no separate call).
+func (n *Node) BootstrapFromPeers() {
 	n.syncFromPeers()
-	return nil
 }
 
 // Drain moves the node to draining — dynamic membership's graceful
@@ -285,8 +268,8 @@ func (g *Group) serveMembership(conn net.Conn, br *bufio.Reader) {
 			membership.WriteFrontierReply(conn, false, 0, 0)
 			return
 		}
-		clock, seq, ok := n.Frontier(req.Subject)
-		membership.WriteFrontierReply(conn, ok, clock, seq)
+		clock, seq := n.Frontier(req.Subject)
+		membership.WriteFrontierReply(conn, true, clock, seq)
 	}
 }
 

@@ -19,8 +19,8 @@ type nodeStats struct {
 	batchFlushes   metrics.Counter // submit batches flushed
 	batchedOps     metrics.Counter // client ops that rode those batches
 
-	// Collection gauges of a proto.GCReporter replica, sampled by the
-	// tick loop while it holds n.mu anyway so Stats never takes the
+	// The replica's collection gauges (proto.GCReporter), sampled by
+	// the tick loop while it holds n.mu anyway so Stats never takes the
 	// protocol lock.
 	liveCmds  atomic.Int64
 	gcLagTS   atomic.Uint64
@@ -29,10 +29,7 @@ type nodeStats struct {
 
 // sampleGC refreshes the collection gauges. Callers hold n.mu.
 func (n *Node) sampleGC() {
-	if n.gcRep == nil {
-		return
-	}
-	live, lag, holder := n.gcRep.GCStats()
+	live, lag, holder := n.rep.GCStats()
 	n.stat.liveCmds.Store(int64(live))
 	n.stat.gcLagTS.Store(lag)
 	n.stat.gcLagRank.Store(uint32(holder))
@@ -67,8 +64,7 @@ type Stats struct {
 	Pending int `json:"pending"`
 	// LiveCmds is the number of commands the replica holds protocol state
 	// for: those in flight plus those executed here that some replica of
-	// the shard has not executed yet. Zero for engines that do not report
-	// it (proto.GCReporter).
+	// the shard has not executed yet.
 	LiveCmds int `json:"live_cmds"`
 	// GCLagTS is how far, in logical timestamps, this replica's executed
 	// watermark is ahead of the lowest one in its shard — what holds

@@ -222,7 +222,7 @@ const (
 	// ErrCodeNone means success.
 	ErrCodeNone ErrCode = 0
 	// ErrCodeTimeout reports that the request's deadline expired before
-	// the command executed.
+	// the command executed here; it may still execute later.
 	ErrCodeTimeout ErrCode = 1
 	// ErrCodeBadRequest reports a malformed request (e.g. no operations).
 	ErrCodeBadRequest ErrCode = 2
@@ -248,8 +248,9 @@ const (
 // package (which re-exports them) and the in-process runtimes return
 // the same sentinels.
 var (
-	// ErrTimeout reports a request whose deadline expired before the
-	// command executed.
+	// ErrTimeout reports a request whose deadline expired before its
+	// result arrived. The command's outcome is unknown: it may have
+	// executed, or may still execute after later commands.
 	ErrTimeout = errors.New("tempo: request timed out")
 	// ErrNotFound reports a read of a key with no value.
 	ErrNotFound = errors.New("tempo: key not found")

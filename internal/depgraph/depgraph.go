@@ -202,33 +202,6 @@ func (g *Graph) Executable() []*Node {
 // commands observed.
 func (g *Graph) BlockedPeak() int { return g.blockedPeak }
 
-// MissingDeps returns the deduplicated dependencies of committed-but-
-// unexecuted commands that are neither executed nor committed here —
-// the commits this replica still has to learn before the blocked part
-// of the graph can progress. Protocol recovery uses it to request
-// re-commits after a partition (messages dropped on a cut link would
-// otherwise block dependent commands forever).
-func (g *Graph) MissingDeps() []ids.Dot {
-	var out []ids.Dot
-	var seen map[ids.Dot]bool
-	for _, n := range g.nodes {
-		for _, d := range n.Deps {
-			if g.executed[d] || seen[d] {
-				continue
-			}
-			if _, committed := g.nodes[d]; committed {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[ids.Dot]bool)
-			}
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // tarjan is the classic iterative-enough recursion (dependency chains in
 // tests are short; the simulator bounds graph sizes). One instance lives
 // in the Graph and is reset per Executable call so its stack and SCC

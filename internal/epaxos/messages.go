@@ -13,7 +13,9 @@
 //
 // Recovery is not implemented for the baselines (the paper's evaluation
 // runs them failure-free); Tempo, the paper's contribution, has full
-// recovery.
+// recovery. The baselines run on the simulator (internal/sim) and on
+// testnet only: messages travel as Go values, so they have no wire codec,
+// and the cluster runtime runs Tempo alone.
 package epaxos
 
 import (
@@ -34,8 +36,6 @@ func (q Quorums) size() int {
 }
 
 // ESubmit asks a process to coordinate the command at its shard.
-//
-//tempo:wire
 type ESubmit struct {
 	ID      ids.Dot
 	Cmd     *command.Command
@@ -43,8 +43,6 @@ type ESubmit struct {
 }
 
 // EPreAccept asks a fast-quorum process for its dependency/seq report.
-//
-//tempo:wire
 type EPreAccept struct {
 	ID      ids.Dot
 	Cmd     *command.Command
@@ -54,8 +52,6 @@ type EPreAccept struct {
 }
 
 // EPreAcceptAck reports the merged dependencies and sequence number.
-//
-//tempo:wire
 type EPreAcceptAck struct {
 	ID   ids.Dot
 	Seq  uint64
@@ -64,8 +60,6 @@ type EPreAcceptAck struct {
 
 // EAccept is the slow-path (Paxos-Accept) message for the shard-local
 // (seq, deps) decision.
-//
-//tempo:wire
 type EAccept struct {
 	ID     ids.Dot
 	Ballot ids.Ballot
@@ -74,8 +68,6 @@ type EAccept struct {
 }
 
 // EAcceptAck acknowledges EAccept.
-//
-//tempo:wire
 type EAcceptAck struct {
 	ID     ids.Dot
 	Ballot ids.Ballot
@@ -84,24 +76,12 @@ type EAcceptAck struct {
 // ECommit announces the shard-local decision. It carries the payload so
 // that processes outside the fast quorum (and, for Janus, outside the
 // command's shards) learn the command.
-//
-//tempo:wire
 type ECommit struct {
 	ID    ids.Dot
 	Shard ids.ShardID
 	Cmd   *command.Command
 	Seq   uint64
 	Deps  []ids.Dot
-}
-
-// ECommitReq asks a peer to resend its commit decisions for one command.
-// Replicas blocked on a dependency whose ECommit was lost (dropped on a
-// cut link) issue it from Tick; any peer that committed the command
-// answers with one ECommit per shard decision.
-//
-//tempo:wire
-type ECommitReq struct {
-	ID ids.Dot
 }
 
 const hdr = 24
@@ -132,6 +112,3 @@ func (m *EAcceptAck) Size() int { return hdr + 8 }
 
 // Size implements proto.Message.
 func (m *ECommit) Size() int { return hdr + 12 + cmdSize(m.Cmd) + 16*len(m.Deps) }
-
-// Size implements proto.Message.
-func (m *ECommitReq) Size() int { return hdr }

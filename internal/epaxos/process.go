@@ -48,13 +48,6 @@ type Config struct {
 	// analogous); it breaks cross-replica ordering and must only be used
 	// for throughput measurements.
 	ExecuteOnCommit bool
-	// ResendInterval arms the recovery machinery for lossy transports
-	// (the cluster runtime): every interval, Tick resends the pending
-	// round of commands this process coordinates and requests re-commits
-	// for dependencies the executor is blocked on (ECommitReq). Zero
-	// disables it — the simulator and testnet runs are loss-free and
-	// expect no spontaneous traffic.
-	ResendInterval time.Duration
 }
 
 // FastQuorumSize returns the variant's fast-quorum size.
@@ -88,9 +81,6 @@ type cmdState struct {
 	shardDeps map[ids.ShardID][]ids.Dot
 	committed bool
 	seen      bool // registered in the conflict index
-	// born is the tick-clock time this process became coordinator, so
-	// recovery resends only rounds that have actually stalled.
-	born time.Duration
 }
 
 // Process is an EPaxos/Atlas replica. It implements proto.Replica.
@@ -108,27 +98,15 @@ type Process struct {
 	graph      *depgraph.Graph
 	store      *kvstore.Store
 
-	nextSeq uint64
-	// seenSeq tracks the highest command-sequence number observed per
-	// source process — the membership frontier (see ObservedFrom).
-	seenSeq     map[ids.ProcessID]uint64
+	nextSeq     uint64
 	crashed     bool
 	executedOut []proto.Executed
-
-	deferApply bool
-	stableOut  []proto.Stable
-
-	now       time.Duration
-	lastSweep time.Duration
 
 	statFast, statSlow uint64
 }
 
 var _ proto.Replica = (*Process)(nil)
 var _ proto.Crashable = (*Process)(nil)
-var _ proto.IDMinter = (*Process)(nil)
-var _ proto.DeferredApplier = (*Process)(nil)
-var _ proto.Joiner = (*Process)(nil)
 
 // New creates a replica for process id.
 func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
@@ -147,7 +125,6 @@ func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
 		shardProcs: topo.ShardProcesses(pi.Shard),
 		keys:       make(map[command.Key]*keyInfo),
 		cmds:       make(map[ids.Dot]*cmdState),
-		seenSeq:    make(map[ids.ProcessID]uint64),
 		graph:      depgraph.New(),
 		store:      kvstore.New(),
 	}
@@ -168,49 +145,11 @@ func (p *Process) Stats() (fast, slow uint64) { return p.statFast, p.statSlow }
 // Crash implements proto.Crashable.
 func (p *Process) Crash() { p.crashed = true }
 
-// NextID mints a fresh command identifier. It implements proto.IDMinter.
+// NextID mints a fresh command identifier; the simulator stamps each
+// client command with it before submitting.
 func (p *Process) NextID() ids.Dot {
 	p.nextSeq++
 	return ids.Dot{Source: p.id, Seq: p.nextSeq}
-}
-
-// Shard returns the one shard this replica replicates. The cluster
-// runtime uses it to route client requests.
-func (p *Process) Shard() ids.ShardID { return p.shard }
-
-// OpsShard returns the shard owning every key of ops and true, or false
-// when the ops span shards. It reads only immutable topology, so it is
-// safe to call concurrently with protocol steps.
-func (p *Process) OpsShard(ops []command.Op) (ids.ShardID, bool) {
-	if len(ops) == 0 {
-		return 0, false
-	}
-	s := p.topo.ShardOf(ops[0].Key)
-	for _, op := range ops[1:] {
-		if p.topo.ShardOf(op.Key) != s {
-			return 0, false
-		}
-	}
-	return s, true
-}
-
-// SetDeferredApply implements proto.DeferredApplier.
-func (p *Process) SetDeferredApply(on bool) { p.deferApply = on }
-
-// DrainStable implements proto.DeferredApplier.
-func (p *Process) DrainStable() []proto.Stable {
-	out := p.stableOut
-	p.stableOut = nil
-	return out
-}
-
-// ApplyStable implements proto.DeferredApplier. The ts argument is
-// ignored: EPaxos sequence numbers are not monotone along execution
-// order (SCC topological order can execute a low-seq command after a
-// high-seq one), so the store's watermark entry point cannot be used.
-// Re-apply idempotency is not needed — the baselines are not Durable.
-func (p *Process) ApplyStable(cmd *command.Command, _ uint64) *command.Result {
-	return p.store.Apply(cmd, p.shard, p.topo.ShardOf)
 }
 
 // Submit implements proto.Replica.
@@ -236,64 +175,9 @@ func (p *Process) Handle(from ids.ProcessID, msg proto.Message) []proto.Action {
 	return p.route(p.handle(from, msg))
 }
 
-// Tick implements proto.Replica. With Config.ResendInterval set it
-// drives recovery on lossy transports: stalled rounds this process
-// coordinates are resent (pre-accepts and accepts are idempotent at the
-// receivers; the coordinator ignores duplicate acks), and dependencies
-// the executor is blocked on are re-requested with ECommitReq. Without
-// it EPaxos has no periodic machinery — the failure-free runs of the
-// paper.
-func (p *Process) Tick(now time.Duration) []proto.Action {
-	if p.crashed {
-		return nil
-	}
-	p.now = now
-	if p.cfg.ResendInterval <= 0 || now-p.lastSweep < p.cfg.ResendInterval {
-		return nil
-	}
-	p.lastSweep = now
-	var acts []proto.Action
-	for id, st := range p.cmds {
-		if st.committed || st.acks == nil || now-st.born < p.cfg.ResendInterval {
-			continue
-		}
-		if st.slowPath {
-			acc := &EAccept{ID: id, Ballot: ids.InitialBallot(p.rank), Seq: st.seq, Deps: st.deps}
-			acts = append(acts, proto.Send(acc, othersOf(p.shardProcs, p.id)...))
-			continue
-		}
-		pa := &EPreAccept{ID: id, Cmd: st.cmd, Quorums: st.quorums, Seq: st.seq, Deps: st.deps}
-		acts = append(acts, proto.Send(pa, othersOf(st.quorums[p.shard], p.id)...))
-	}
-	for _, d := range p.graph.MissingDeps() {
-		to := othersOf(p.shardProcs, p.id)
-		if d.Source != p.id && !containsProc(to, d.Source) {
-			to = append(to, d.Source)
-		}
-		acts = append(acts, proto.Send(&ECommitReq{ID: d}, to...))
-	}
-	return p.route(acts)
-}
-
-// othersOf returns procs minus self.
-func othersOf(procs []ids.ProcessID, self ids.ProcessID) []ids.ProcessID {
-	var out []ids.ProcessID
-	for _, q := range procs {
-		if q != self {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-func containsProc(procs []ids.ProcessID, q ids.ProcessID) bool {
-	for _, x := range procs {
-		if x == q {
-			return true
-		}
-	}
-	return false
-}
+// Tick implements proto.Replica. EPaxos has no periodic machinery: the
+// paper runs the baselines failure-free.
+func (p *Process) Tick(time.Duration) []proto.Action { return nil }
 
 // Drain implements proto.Replica.
 func (p *Process) Drain() []proto.Executed {
@@ -341,17 +225,12 @@ func (p *Process) handle(from ids.ProcessID, msg proto.Message) []proto.Action {
 		return p.onAcceptAck(from, m)
 	case *ECommit:
 		return p.onCommit(m)
-	case *ECommitReq:
-		return p.onCommitReq(from, m)
 	default:
 		panic(fmt.Sprintf("epaxos: unknown message %T", msg))
 	}
 }
 
 func (p *Process) state(id ids.Dot) *cmdState {
-	if id.Seq > p.seenSeq[id.Source] {
-		p.seenSeq[id.Source] = id.Seq
-	}
 	st, ok := p.cmds[id]
 	if !ok {
 		st = &cmdState{
@@ -361,22 +240,6 @@ func (p *Process) state(id ids.Dot) *cmdState {
 		p.cmds[id] = st
 	}
 	return st
-}
-
-// ObservedFrom implements proto.Joiner: EPaxos has no logical clock,
-// so the frontier is the highest command-sequence number (instance id)
-// observed from pid — dots double as instance ids, and every message
-// that references an instance passes through state.
-func (p *Process) ObservedFrom(pid ids.ProcessID) (clock, seq uint64) {
-	return 0, p.seenSeq[pid]
-}
-
-// JoinFloor implements proto.Joiner: a successor must not re-mint its
-// predecessor's dots (they ARE the instance ids).
-func (p *Process) JoinFloor(clock, seq uint64) {
-	if seq > p.nextSeq {
-		p.nextSeq = seq
-	}
 }
 
 // localDeps computes (deps, seq) for cmd against the local conflict index
@@ -449,7 +312,6 @@ func (p *Process) onSubmit(m *ESubmit) []proto.Action {
 	st.shards = p.topo.CmdShards(m.Cmd)
 	st.quorums = m.Quorums
 	st.seq, st.deps = seq, deps
-	st.born = p.now
 	st.acks = map[ids.ProcessID]*EPreAcceptAck{
 		p.id: {ID: m.ID, Seq: seq, Deps: deps},
 	}
@@ -651,7 +513,7 @@ func (p *Process) onCommit(m *ECommit) []proto.Action {
 	}
 	p.register(m.Cmd, seq)
 	if p.cfg.ExecuteOnCommit {
-		p.executeNow(st.cmd, seq)
+		p.executeNow(st.cmd)
 		return nil
 	}
 	p.graph.Commit(m.ID, seq, deps, st.cmd)
@@ -659,34 +521,13 @@ func (p *Process) onCommit(m *ECommit) []proto.Action {
 	return nil
 }
 
-// onCommitReq answers a peer's re-commit request for a command this
-// process has committed: one ECommit per shard decision, rebuilding what
-// the requester lost on a cut link. Uncommitted or unknown ids are
-// silently ignored (the requester retries next sweep).
-func (p *Process) onCommitReq(from ids.ProcessID, m *ECommitReq) []proto.Action {
-	st, ok := p.cmds[m.ID]
-	if !ok || !st.committed {
-		return nil
-	}
-	var acts []proto.Action
-	for _, s := range st.shards {
-		seq, ok := st.shardSeq[s]
-		if !ok {
-			continue
-		}
-		mc := &ECommit{ID: m.ID, Shard: s, Cmd: st.cmd, Seq: seq, Deps: st.shardDeps[s]}
-		acts = append(acts, proto.Send(mc, from))
-	}
-	return acts
-}
-
 func (p *Process) runExecutor() {
 	for _, n := range p.graph.Executable() {
-		p.executeNow(n.Cmd, n.Seq)
+		p.executeNow(n.Cmd)
 	}
 }
 
-func (p *Process) executeNow(cmd *command.Command, seq uint64) {
+func (p *Process) executeNow(cmd *command.Command) {
 	shards := p.topo.CmdShards(cmd)
 	touchesShard := false
 	for _, s := range shards {
@@ -697,11 +538,6 @@ func (p *Process) executeNow(cmd *command.Command, seq uint64) {
 	if !touchesShard {
 		// Janus non-genuine: the command is in our graph only for
 		// ordering; nothing to apply locally.
-		return
-	}
-	if p.deferApply {
-		p.stableOut = append(p.stableOut,
-			proto.Stable{Cmd: cmd, Shard: p.shard, TS: seq, Multi: len(shards) > 1})
 		return
 	}
 	res := p.store.Apply(cmd, p.shard, p.topo.ShardOf)

@@ -8,6 +8,9 @@
 // to it, which is what makes FPaxos unfair to distant clients (Figure 5)
 // and leader-bottlenecked at high load (Figure 7). Site-local batching
 // (Figure 8) aggregates commands before forwarding/proposing.
+//
+// Like the epaxos baselines, FPaxos runs on the simulator and on testnet
+// only; the cluster runtime runs Tempo alone.
 package fpaxos
 
 import (
@@ -22,15 +25,11 @@ import (
 )
 
 // FForward carries client commands from a follower site to the leader.
-//
-//tempo:wire
 type FForward struct {
 	Cmds []*command.Command
 }
 
 // FAccept is Paxos phase 2 for one log slot.
-//
-//tempo:wire
 type FAccept struct {
 	Slot   uint64
 	Ballot ids.Ballot
@@ -38,30 +37,15 @@ type FAccept struct {
 }
 
 // FAcceptAck acknowledges FAccept.
-//
-//tempo:wire
 type FAcceptAck struct {
 	Slot   uint64
 	Ballot ids.Ballot
 }
 
 // FCommit announces a decided slot to every replica.
-//
-//tempo:wire
 type FCommit struct {
 	Slot uint64
 	Cmds []*command.Command
-}
-
-// FSlotReq asks the leader to resend decided slots starting at Next.
-// Followers issue it from Tick when their execution cursor is stuck
-// behind a slot they have seen proposed or decided (an FCommit lost on
-// a cut link would otherwise stall execution forever); the leader
-// answers with FCommit per retained slot.
-//
-//tempo:wire
-type FSlotReq struct {
-	Next uint64
 }
 
 const hdr = 16
@@ -86,9 +70,6 @@ func (m *FAcceptAck) Size() int { return hdr + 16 }
 // Size implements proto.Message.
 func (m *FCommit) Size() int { return hdr + 8 + cmdsSize(m.Cmds) }
 
-// Size implements proto.Message.
-func (m *FSlotReq) Size() int { return hdr }
-
 // Config tunes a replica.
 type Config struct {
 	// Batching aggregates commands at each site before forwarding or
@@ -97,15 +78,6 @@ type Config struct {
 	Batching    bool
 	BatchWindow time.Duration
 	MaxBatch    int
-	// ResendInterval arms the recovery machinery for lossy transports
-	// (the cluster runtime): every interval, the leader re-runs phase 2
-	// for stalled uncommitted slots and followers with a stuck execution
-	// cursor request decided slots back with FSlotReq. Zero disables it
-	// — the simulator and testnet runs are loss-free.
-	ResendInterval time.Duration
-	// HistorySlots bounds how many executed slots each replica retains
-	// to answer FSlotReq catch-ups (default 4096).
-	HistorySlots uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -115,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 105 // the paper's batch cap
 	}
-	if c.HistorySlots == 0 {
-		c.HistorySlots = 4096
-	}
 	return c
 }
 
@@ -125,9 +94,6 @@ type slot struct {
 	cmds      []*command.Command
 	acks      map[ids.ProcessID]bool
 	committed bool
-	// born is the tick-clock time this slot was proposed here, so
-	// recovery resends only rounds that have actually stalled.
-	born time.Duration
 }
 
 // Process is an FPaxos replica. It implements proto.Replica.
@@ -142,12 +108,9 @@ type Process struct {
 	leaderRank ids.Rank
 	nextSlot   uint64
 	nextID     uint64
-	// seenSeq tracks the highest command-sequence number observed per
-	// source process — the membership frontier (see ObservedFrom).
-	seenSeq  map[ids.ProcessID]uint64
-	log      map[uint64]*slot
-	execNext uint64
-	store    *kvstore.Store
+	log        map[uint64]*slot
+	execNext   uint64
+	store      *kvstore.Store
 
 	pending   []*command.Command
 	lastFlush time.Duration
@@ -155,26 +118,11 @@ type Process struct {
 	executedOut []proto.Executed
 	crashed     bool
 	proposed    uint64
-
-	deferApply bool
-	stableOut  []proto.Stable
-
-	// Recovery state: the tick clock, the last recovery sweep, the
-	// highest slot seen proposed or decided, and the retained window of
-	// executed slots answering FSlotReq.
-	now       time.Duration
-	lastSweep time.Duration
-	maxSlot   uint64
-	hist      map[uint64][]*command.Command
-	histMin   uint64
 }
 
 var _ proto.Replica = (*Process)(nil)
 var _ proto.LeaderAware = (*Process)(nil)
 var _ proto.Crashable = (*Process)(nil)
-var _ proto.IDMinter = (*Process)(nil)
-var _ proto.DeferredApplier = (*Process)(nil)
-var _ proto.Joiner = (*Process)(nil)
 
 // New creates an FPaxos replica; the initial leader is rank 1.
 func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
@@ -191,12 +139,9 @@ func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
 		topo:       topo,
 		cfg:        cfg.withDefaults(),
 		leaderRank: 1,
-		seenSeq:    make(map[ids.ProcessID]uint64),
 		log:        make(map[uint64]*slot),
 		execNext:   1,
 		store:      kvstore.New(),
-		hist:       make(map[uint64][]*command.Command),
-		histMin:    1,
 	}
 }
 
@@ -215,85 +160,11 @@ func (p *Process) SetLeader(rank ids.Rank) { p.leaderRank = rank }
 // Crash implements proto.Crashable.
 func (p *Process) Crash() { p.crashed = true }
 
-// NextID mints a fresh command identifier. It implements proto.IDMinter.
+// NextID mints a fresh command identifier; the simulator stamps each
+// client command with it before submitting.
 func (p *Process) NextID() ids.Dot {
 	p.nextID++
 	return ids.Dot{Source: p.id, Seq: p.nextID}
-}
-
-// noteCmds records the highest command-sequence number seen per source
-// process — the membership frontier (commands enter a replica via
-// propose, FAccept and FCommit).
-func (p *Process) noteCmds(cmds []*command.Command) {
-	for _, c := range cmds {
-		if c.ID.Seq > p.seenSeq[c.ID.Source] {
-			p.seenSeq[c.ID.Source] = c.ID.Seq
-		}
-	}
-}
-
-// ObservedFrom implements proto.Joiner: the highest slot this replica
-// has seen proposed (the leader's "clock") and the highest
-// command-sequence number observed from pid. FPaxos leader replacement
-// is out of membership's scope — replacing the leader's slot requires
-// a leader-change protocol (SetLeader is the oracle hook); followers
-// replace cleanly via slot catch-up (FSlotReq).
-func (p *Process) ObservedFrom(pid ids.ProcessID) (clock, seq uint64) {
-	return p.maxSlot, p.seenSeq[pid]
-}
-
-// JoinFloor implements proto.Joiner: a successor must not re-mint its
-// predecessor's command ids, and — should it ever lead — not reuse
-// slots the shard has seen.
-func (p *Process) JoinFloor(clock, seq uint64) {
-	if seq > p.nextID {
-		p.nextID = seq
-	}
-	if clock > p.nextSlot {
-		p.nextSlot = clock
-	}
-	if clock > p.maxSlot {
-		p.maxSlot = clock
-	}
-}
-
-// Shard returns the one shard this replica replicates. The cluster
-// runtime uses it to route client requests.
-func (p *Process) Shard() ids.ShardID { return p.shard }
-
-// OpsShard returns the shard owning every key of ops and true, or false
-// when the ops span shards. It reads only immutable topology, so it is
-// safe to call concurrently with protocol steps.
-func (p *Process) OpsShard(ops []command.Op) (ids.ShardID, bool) {
-	if len(ops) == 0 {
-		return 0, false
-	}
-	s := p.topo.ShardOf(ops[0].Key)
-	for _, op := range ops[1:] {
-		if p.topo.ShardOf(op.Key) != s {
-			return 0, false
-		}
-	}
-	return s, true
-}
-
-// SetDeferredApply implements proto.DeferredApplier.
-func (p *Process) SetDeferredApply(on bool) { p.deferApply = on }
-
-// DrainStable implements proto.DeferredApplier.
-func (p *Process) DrainStable() []proto.Stable {
-	out := p.stableOut
-	p.stableOut = nil
-	return out
-}
-
-// ApplyStable implements proto.DeferredApplier. The ts argument (the
-// slot number) is ignored: slots carry multiple commands, so the slot
-// number is not unique per command and the store's watermark entry
-// point cannot be used. Re-apply idempotency is not needed — the
-// baselines are not Durable.
-func (p *Process) ApplyStable(cmd *command.Command, _ uint64) *command.Result {
-	return p.store.Apply(cmd, p.shard, p.topo.ShardOf)
 }
 
 func (p *Process) leaderID() ids.ProcessID {
@@ -333,14 +204,10 @@ func (p *Process) dispatch(cmds []*command.Command) []proto.Action {
 // propose assigns the next slot and runs phase 2 on the f+1 nearest
 // acceptors (including self).
 func (p *Process) propose(cmds []*command.Command) []proto.Action {
-	p.noteCmds(cmds)
 	p.nextSlot++
 	p.proposed++
 	s := p.nextSlot
-	if s > p.maxSlot {
-		p.maxSlot = s
-	}
-	st := &slot{cmds: cmds, acks: map[ids.ProcessID]bool{}, born: p.now}
+	st := &slot{cmds: cmds, acks: map[ids.ProcessID]bool{}}
 	p.log[s] = st
 	quorum := p.topo.FastQuorum(p.id, p.f+1)
 	return []proto.Action{proto.Send(&FAccept{Slot: s, Ballot: ids.Ballot(p.rank), Cmds: cmds}, quorum...)}
@@ -399,12 +266,8 @@ func (p *Process) handle(from ids.ProcessID, msg proto.Message) []proto.Action {
 		return p.propose(m.Cmds)
 	case *FAccept:
 		// Failure-free phase 2: accept unconditionally.
-		p.noteCmds(m.Cmds)
-		if m.Slot > p.maxSlot {
-			p.maxSlot = m.Slot
-		}
 		if m.Slot < p.execNext {
-			// Already executed here (a recovery resend): re-ack only.
+			// Already executed here (a duplicate): re-ack only.
 			return []proto.Action{proto.Send(&FAcceptAck{Slot: m.Slot, Ballot: m.Ballot}, from)}
 		}
 		if _, ok := p.log[m.Slot]; !ok {
@@ -423,12 +286,8 @@ func (p *Process) handle(from ids.ProcessID, msg proto.Message) []proto.Action {
 		st.acks = nil
 		return []proto.Action{proto.Send(&FCommit{Slot: m.Slot, Cmds: st.cmds}, p.topo.ShardProcesses(p.shard)...)}
 	case *FCommit:
-		p.noteCmds(m.Cmds)
-		if m.Slot > p.maxSlot {
-			p.maxSlot = m.Slot
-		}
 		if m.Slot < p.execNext {
-			return nil // already executed here (a recovery resend)
+			return nil // already executed here (a duplicate)
 		}
 		st, ok := p.log[m.Slot]
 		if !ok {
@@ -438,16 +297,12 @@ func (p *Process) handle(from ids.ProcessID, msg proto.Message) []proto.Action {
 		st.committed = true
 		p.executeReady()
 		return nil
-	case *FSlotReq:
-		return p.onSlotReq(from, m)
 	default:
 		panic(fmt.Sprintf("fpaxos: unknown message %T", msg))
 	}
 }
 
-// executeReady applies committed slots in order. Executed slot payloads
-// move to the bounded history window so this replica can answer a
-// lagging peer's FSlotReq.
+// executeReady applies committed slots in order.
 func (p *Process) executeReady() {
 	for {
 		st, ok := p.log[p.execNext]
@@ -455,98 +310,22 @@ func (p *Process) executeReady() {
 			return
 		}
 		for _, c := range st.cmds {
-			if p.deferApply {
-				p.stableOut = append(p.stableOut,
-					proto.Stable{Cmd: c, Shard: p.shard, TS: p.execNext})
-				continue
-			}
 			res := p.store.Apply(c, p.shard, p.topo.ShardOf)
 			p.executedOut = append(p.executedOut, proto.Executed{Cmd: c, Shard: p.shard, Result: res})
 		}
-		p.hist[p.execNext] = st.cmds
 		delete(p.log, p.execNext)
 		p.execNext++
 	}
-	// Pruned lazily in Tick; execution stays allocation-flat.
 }
 
-// onSlotReq resends decided slots from Next, from the history window or
-// the committed-but-unexecuted log, stopping at the first slot this
-// replica has not decided (the requester retries next sweep if still
-// stuck). The reply batch is bounded to keep messages small.
-func (p *Process) onSlotReq(from ids.ProcessID, m *FSlotReq) []proto.Action {
-	const maxBatch = 64
-	var acts []proto.Action
-	for s := m.Next; s < m.Next+maxBatch; s++ {
-		if cmds, ok := p.hist[s]; ok {
-			acts = append(acts, proto.Send(&FCommit{Slot: s, Cmds: cmds}, from))
-			continue
-		}
-		if st, ok := p.log[s]; ok && st.committed {
-			acts = append(acts, proto.Send(&FCommit{Slot: s, Cmds: st.cmds}, from))
-			continue
-		}
-		break
-	}
-	return acts
-}
-
-// Tick implements proto.Replica: flushes batches, and with
-// Config.ResendInterval set drives recovery on lossy transports — the
-// leader re-runs phase 2 for stalled uncommitted slots, and a follower
-// whose execution cursor is stuck behind a slot it has seen requests the
-// decided slots back from the leader.
+// Tick implements proto.Replica: it flushes the batch once the batch
+// window has elapsed.
 func (p *Process) Tick(now time.Duration) []proto.Action {
-	if p.crashed {
+	if p.crashed || !p.cfg.Batching || now-p.lastFlush < p.cfg.BatchWindow {
 		return nil
 	}
-	p.now = now
-	var acts []proto.Action
-	if p.cfg.Batching && now-p.lastFlush >= p.cfg.BatchWindow {
-		p.lastFlush = now
-		acts = p.flush()
-	}
-	if p.cfg.ResendInterval > 0 && now-p.lastSweep >= p.cfg.ResendInterval {
-		p.lastSweep = now
-		acts = append(acts, p.recoverySweep(now)...)
-		p.pruneHist()
-	}
-	if len(acts) == 0 {
-		return nil
-	}
-	return p.route(acts)
-}
-
-// recoverySweep emits the resends and catch-up requests for one sweep.
-func (p *Process) recoverySweep(now time.Duration) []proto.Action {
-	var acts []proto.Action
-	if p.isLeader() {
-		for s, st := range p.log {
-			if st.committed || st.acks == nil || now-st.born < p.cfg.ResendInterval {
-				continue
-			}
-			quorum := p.topo.FastQuorum(p.id, p.f+1)
-			acts = append(acts, proto.Send(&FAccept{Slot: s, Ballot: ids.Ballot(p.rank), Cmds: st.cmds}, quorum...))
-		}
-		return acts
-	}
-	if p.execNext <= p.maxSlot {
-		if st, ok := p.log[p.execNext]; !ok || !st.committed {
-			acts = append(acts, proto.Send(&FSlotReq{Next: p.execNext}, p.leaderID()))
-		}
-	}
-	return acts
-}
-
-// pruneHist drops retained slots older than the history window.
-func (p *Process) pruneHist() {
-	if p.execNext <= p.cfg.HistorySlots {
-		return
-	}
-	floor := p.execNext - p.cfg.HistorySlots
-	for ; p.histMin < floor; p.histMin++ {
-		delete(p.hist, p.histMin)
-	}
+	p.lastFlush = now
+	return p.route(p.flush())
 }
 
 // Drain implements proto.Replica.

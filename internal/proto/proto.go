@@ -156,8 +156,7 @@ type IDMinter interface {
 //
 //   - ObservedFrom returns the highest logical-clock value and the
 //     highest command-sequence number this replica has observed from
-//     process pid (promises it made, command ids it minted). Protocols
-//     without a logical clock return clock 0.
+//     process pid (promises it made, command ids it minted).
 //   - JoinFloor raises the replica's own clock and id-sequence floors;
 //     called once before any protocol step on a successor, with the
 //     max of the live peers' ObservedFrom answers plus a safety margin

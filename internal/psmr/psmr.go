@@ -200,10 +200,7 @@ func StartListener(cfg Config, ln net.Listener) (*Group, error) {
 	// never to a sibling node of this group.
 	for _, n := range g.nodes {
 		if cfg.Bootstrap && cfg.DataDir == "" {
-			if err := n.BootstrapFromPeers(); err != nil {
-				g.Close()
-				return nil, err
-			}
+			n.BootstrapFromPeers()
 		}
 		if err := n.StartHosted(); err != nil {
 			g.Close()

@@ -8,20 +8,25 @@
 // key is owned by exactly one writer worker, which stamps each write
 // with a strictly increasing version (a self-describing, checksummed
 // value). That turns consistency checking into arithmetic on three
-// monotone per-key counters:
+// monotone per-key counters and one set:
 //
 //   - attempted: the highest version ever submitted (acked or not);
 //   - acked: the highest version whose write completed OK;
-//   - observed: the highest version any completed read returned.
+//   - observed: the highest version any completed read returned;
+//   - failed: the versions whose write returned an error.
 //
-// A read returning a version below max(acked, observed) at the time it
-// was issued is a stale read — by the specification's Ordering property
-// (which includes the real-time order), a committed conflicting write
-// cannot execute after a later-submitted read, and versions on one key
-// only grow. A read above `attempted` is a phantom — a version nobody
-// wrote. A value that fails its checksum or echoes the wrong key is
-// corruption. Reads and writes verify opportunistically on every
-// operation, hours on end, with O(keys) memory.
+// A failed write's outcome is unknown, not negative: a write that timed
+// out (client.ErrTimeout) may still be pending inside the cluster and
+// execute after later writes of the same session were acked — a legal
+// linearization, since a pending operation precedes nothing in real
+// time. So a read returning a version below max(acked, observed) at the
+// time it was issued is a stale read only when that version's write did
+// not fail: an acked write precedes the read in real time, and by the
+// specification's Ordering property the read must see it or something
+// the same writer wrote later. A read above `attempted` is a phantom — a
+// version nobody wrote. A value that fails its checksum or echoes the
+// wrong key is corruption. Reads and writes verify opportunistically on
+// every operation, hours on end, with O(keys + failed writes) memory.
 //
 // Optionally the vulture also carries a check.Incremental fed by the
 // deployment's execution observers (in-process harnesses), folding the
@@ -94,12 +99,15 @@ type Vulture struct {
 	startErr error
 }
 
-// keyState is one tagged key's monotone version accounting.
+// keyState is one tagged key's version accounting.
 type keyState struct {
 	mu        sync.Mutex
 	attempted uint64
 	acked     uint64
 	observed  uint64
+	// failed holds the versions whose write returned an error: reading
+	// one of them below the floor is legal (see the package doc).
+	failed map[uint64]struct{}
 }
 
 // Outage is one availability window: a gap between successful
@@ -316,40 +324,63 @@ func (v *Vulture) pause(ctx context.Context) {
 	}
 }
 
-// probeWrite submits the key's next version. An unacknowledged write
-// stays in `attempted`: it may or may not have executed, and a later
-// read returning it is legitimate either way.
+// probeWrite submits the key's next version.
 func (v *Vulture) probeWrite(ctx context.Context, sess *client.Session, k int) {
-	ks := v.keys[k]
-	ks.mu.Lock()
-	ks.attempted++
-	next := ks.attempted
-	ks.mu.Unlock()
-	err := sess.Put(ctx, v.keyName(k), encodeValue(v.keyName(k), next))
-	v.writes.Add(1)
-	v.noteOp(err)
-	if err == nil {
-		ks.mu.Lock()
-		if next > ks.acked {
-			ks.acked = next
-		}
-		ks.mu.Unlock()
-	}
+	ver := v.beginWrite(k)
+	err := sess.Put(ctx, v.keyName(k), encodeValue(v.keyName(k), ver))
+	v.endWrite(k, ver, err)
 }
 
-// probeRead reads a key and verifies the returned version against the
-// key's monotone floor (captured at issue time) and ceiling.
+// beginWrite reserves key k's next version.
+func (v *Vulture) beginWrite(k int) uint64 {
+	ks := v.keys[k]
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	ks.attempted++
+	return ks.attempted
+}
+
+// endWrite records the outcome of writing version ver of key k. A
+// failed write stays in `attempted` and joins `failed`: it may or may
+// not execute, and a later read returning it is legitimate either way.
+func (v *Vulture) endWrite(k int, ver uint64, err error) {
+	v.writes.Add(1)
+	v.noteOp(err)
+	ks := v.keys[k]
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	if err != nil {
+		if ks.failed == nil {
+			ks.failed = make(map[uint64]struct{})
+		}
+		ks.failed[ver] = struct{}{}
+		return
+	}
+	ks.acked = max(ks.acked, ver)
+}
+
+// probeRead reads a key and judges the result against the floor
+// captured when the read was issued.
 func (v *Vulture) probeRead(ctx context.Context, sess *client.Session, k int) {
+	floor := v.readFloor(k)
+	val, err := sess.Get(ctx, v.keyName(k))
+	v.judgeRead(k, floor, val, err)
+}
+
+// readFloor is the lowest version a read of key k issued now may
+// return, unless the write of the version it returns failed.
+func (v *Vulture) readFloor(k int) uint64 {
+	ks := v.keys[k]
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	return max(ks.acked, ks.observed)
+}
+
+// judgeRead verifies a completed read of key k, issued when the key's
+// floor was floor, against that floor and the key's ceiling.
+func (v *Vulture) judgeRead(k int, floor uint64, val []byte, err error) {
 	ks := v.keys[k]
 	key := v.keyName(k)
-	ks.mu.Lock()
-	floor := ks.acked
-	if ks.observed > floor {
-		floor = ks.observed
-	}
-	ks.mu.Unlock()
-
-	val, err := sess.Get(ctx, key)
 	v.reads.Add(1)
 	if errors.Is(err, client.ErrNotFound) {
 		v.notFound.Add(1)
@@ -368,16 +399,18 @@ func (v *Vulture) probeRead(ctx context.Context, sess *client.Session, k int) {
 		v.violate("corrupt-value", "%s: %v", key, derr)
 		return
 	}
-	if ver < floor {
+	ks.mu.Lock()
+	_, failed := ks.failed[ver]
+	stale := ver < floor && !failed
+	phantom := ver > ks.attempted
+	if !stale {
+		ks.observed = max(ks.observed, ver)
+	}
+	ks.mu.Unlock()
+	if stale {
 		v.violate("stale-read", "%s: read version %d below known floor %d", key, ver, floor)
 		return
 	}
-	ks.mu.Lock()
-	phantom := ver > ks.attempted
-	if ver > ks.observed {
-		ks.observed = ver
-	}
-	ks.mu.Unlock()
 	if phantom {
 		v.violate("phantom-version", "%s: read version %d, never written (attempted <= it at completion)", key, ver)
 	}

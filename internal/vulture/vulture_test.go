@@ -42,10 +42,11 @@ func TestValueCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// startVultureCluster boots a plain 3-replica loopback cluster and
-// returns the client address map; when checker is non-nil every node's
-// execution stream is fed into it.
-func startVultureCluster(t *testing.T, checker *check.Incremental) map[ids.ProcessID]string {
+// startVultureCluster boots a 3-replica Tempo loopback cluster and
+// returns the client address map. When checker is non-nil every node's
+// execution stream is fed into it; when shaper is non-nil every node's
+// peer links run through it.
+func startVultureCluster(t *testing.T, cfg tempo.Config, checker *check.Incremental, shaper *cluster.Shaper) map[ids.ProcessID]string {
 	t.Helper()
 	const r = 3
 	names := make([]string, r)
@@ -70,29 +71,32 @@ func startVultureCluster(t *testing.T, checker *check.Incremental) map[ids.Proce
 	}
 	for _, pi := range topo.Processes() {
 		pi := pi
-		rep := tempo.New(pi.ID, topo, tempo.Config{
-			PromiseInterval: time.Millisecond,
-			RecoveryTimeout: time.Hour,
-		})
-		n := cluster.NewNode(pi.ID, rep, addrs)
+		n := cluster.NewNode(pi.ID, tempo.New(pi.ID, topo, cfg), addrs)
+		n.SetShaper(shaper)
 		if checker != nil {
 			checker.AddProcess(0, pi.ID)
 			n.SetExecObserver(func(st proto.Stable) {
 				checker.Executed(pi.ID, st.Shard, st.Cmd.ID, st.TS)
 			})
 		}
-		n.StartListener(lns[pi.ID])
+		if err := n.StartListener(lns[pi.ID]); err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(func() { n.Close() })
 	}
 	return addrs
 }
+
+// healthyConfig is the replica config of the fault-free tests: recovery
+// never fires.
+var healthyConfig = tempo.Config{PromiseInterval: time.Millisecond, RecoveryTimeout: time.Hour}
 
 // TestVultureCleanRun probes a healthy cluster (with the execution
 // checker attached) and must come back with operations done and zero
 // violations.
 func TestVultureCleanRun(t *testing.T) {
 	checker := check.NewIncremental()
-	addrs := startVultureCluster(t, checker)
+	addrs := startVultureCluster(t, healthyConfig, checker, nil)
 	v, err := New(Config{
 		Client:   client.Config{Addrs: addrs},
 		Writers:  2,
@@ -128,7 +132,7 @@ func TestVultureCleanRun(t *testing.T) {
 // writer outside the vulture plants (a) a phantom version and (b) a
 // corrupt value on vulture-owned keys, and the vulture must flag both.
 func TestVultureDetectsSeededViolations(t *testing.T) {
-	addrs := startVultureCluster(t, nil)
+	addrs := startVultureCluster(t, healthyConfig, nil, nil)
 	v, err := New(Config{
 		Client:   client.Config{Addrs: addrs},
 		Writers:  1,
@@ -196,6 +200,51 @@ func TestVultureDetectsSeededViolations(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "violation") {
 		t.Fatalf("unhelpful failure: %v", err)
+	}
+}
+
+// TestReadOfFailedWriteIsNotStale drives the read-judging rule directly.
+// Version 5 is acked, 6 times out, 7 is acked: 6 is still pending and
+// may execute after 7, so reading it is legal; reading 5 is stale (an
+// acked later write precedes the read); reading 8 is a phantom.
+func TestReadOfFailedWriteIsNotStale(t *testing.T) {
+	v, err := New(Config{Client: client.Config{Addrs: map[ids.ProcessID]string{1: "127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 0
+	key := v.keyName(k)
+	for ver := uint64(1); ver <= 7; ver++ {
+		if got := v.beginWrite(k); got != ver {
+			t.Fatalf("beginWrite = %d, want %d", got, ver)
+		}
+		var werr error
+		if ver == 6 {
+			werr = client.ErrTimeout
+		}
+		v.endWrite(k, ver, werr)
+	}
+	read := func(ver uint64) map[string]uint64 {
+		v.judgeRead(k, v.readFloor(k), encodeValue(key, ver), nil)
+		return v.Report().Kinds
+	}
+	if kinds := read(6); len(kinds) != 0 {
+		t.Fatalf("read of the timed-out version 6 flagged: %v", kinds)
+	}
+	if kinds := read(5); kinds["stale-read"] != 1 || len(kinds) != 1 {
+		t.Fatalf("read of version 5 after 7 was acked: kinds %v, want one stale-read", kinds)
+	}
+	if kinds := read(8); kinds["phantom-version"] != 1 || len(kinds) != 2 {
+		t.Fatalf("read of never-written version 8: kinds %v, want one phantom-version", kinds)
+	}
+	if got := v.readFloor(k); got != 8 {
+		t.Fatalf("floor after reading 8 = %d, want 8 (observed never goes down)", got)
+	}
+	if kinds := read(6); kinds["stale-read"] != 1 {
+		t.Fatalf("read of the timed-out version 6 below observed 8 flagged: %v", kinds)
+	}
+	if got := v.readFloor(k); got != 8 {
+		t.Fatalf("floor after reading 6 = %d, want 8 (observed never goes down)", got)
 	}
 }
 
