@@ -65,9 +65,11 @@ flatness:
 ## restart-repeat: the in-process site restart, twenty times over. A
 ## message lost to a link the restarted site had closed (see
 ## Group.writer) hangs the test in some runs only, so one run proves
-## little.
+## little. The coordinator-loss stall runs twenty times beside it: its
+## bound is a wall-clock gap on a loaded loopback cluster.
 restart-repeat:
 	$(GO) test -run 'TestGroupDurableRestart' -count=20 ./internal/psmr/
+	$(GO) test -run 'TestCoordinatorLossStall' -count=20 ./internal/cluster/
 
 ## vulture-repeat: the vulture's socket tests twenty times over (about
 ## 80s): the partition run judges reads against writes that timed out

@@ -78,6 +78,10 @@ type Replica interface {
 	// concurrently with protocol steps (client routing calls it outside
 	// the protocol lock).
 	OpsShard(ops []command.Op) (ids.ShardID, bool)
+	// Stats returns the commands the replica committed as coordinator on
+	// the fast and on the slow path, and the recovery ballots it started.
+	// Called under the protocol lock.
+	Stats() (fast, slow, recovered uint64)
 }
 
 // Node runs one replica.

@@ -25,14 +25,19 @@ type nodeStats struct {
 	liveCmds  atomic.Int64
 	gcLagTS   atomic.Uint64
 	gcLagRank atomic.Uint32
+	// recoveredCmds is the replica's recovery count, sampled the same way.
+	recoveredCmds atomic.Uint64
 }
 
-// sampleGC refreshes the collection gauges. Callers hold n.mu.
+// sampleGC refreshes the collection gauges and the recovery count.
+// Callers hold n.mu.
 func (n *Node) sampleGC() {
 	live, lag, holder := n.rep.GCStats()
 	n.stat.liveCmds.Store(int64(live))
 	n.stat.gcLagTS.Store(lag)
 	n.stat.gcLagRank.Store(uint32(holder))
+	_, _, recovered := n.rep.Stats()
+	n.stat.recoveredCmds.Store(recovered)
 }
 
 // Stats is a point-in-time snapshot of a node's serving counters,
@@ -73,6 +78,11 @@ type Stats struct {
 	// watermark zero).
 	GCLagTS   uint64 `json:"gc_lag_ts"`
 	GCLagRank uint32 `json:"gc_lag_rank"`
+	// RecoveredCmds counts the recoveries this replica started as shard
+	// leader: a command of a silent coordinator, or one pending past the
+	// recovery timeout. It stays at 0 in a healthy cluster; growth without
+	// a fault is a storm of false suspicions.
+	RecoveredCmds uint64 `json:"recovered_cmds"`
 }
 
 // Stats snapshots the node's serving counters.
@@ -95,5 +105,6 @@ func (n *Node) Stats() Stats {
 		LiveCmds:       int(n.stat.liveCmds.Load()),
 		GCLagTS:        n.stat.gcLagTS.Load(),
 		GCLagRank:      n.stat.gcLagRank.Load(),
+		RecoveredCmds:  n.stat.recoveredCmds.Load(),
 	}
 }

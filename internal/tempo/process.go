@@ -18,9 +18,14 @@ type Config struct {
 	// PromiseInterval is how often MPromises are broadcast (Algorithm 2,
 	// line 44). Default 5ms.
 	PromiseInterval time.Duration
-	// RecoveryTimeout is how long a command may stay pending before the
-	// shard leader starts recovery for it. Default 500ms. Zero disables
-	// recovery (useful for failure-free benchmarks).
+	// RecoveryTimeout is the fallback for a command whose coordinator is
+	// alive but stuck (a lost ack, a cut link): once the command has been
+	// pending this long, the shard leader starts recovery for it. A
+	// command whose coordinator has gone silent — no message from it,
+	// MPromises heartbeats included, while other ranks were heard — is
+	// recovered much sooner, after max(10 × PromiseInterval,
+	// RecoveryTimeout/10) of silence (see recoverSilent). Default 500ms;
+	// failure-free runs set an hour, which puts both out of reach.
 	RecoveryTimeout time.Duration
 	// ResendInterval is how often pending payloads are re-broadcast
 	// (Appendix B, line 77). Default equals RecoveryTimeout.
@@ -254,6 +259,17 @@ type Process struct {
 
 	lastPromises time.Duration
 	lastResend   time.Duration
+	// The failure detector (see recoverSilent): heard[rank-1] records
+	// that a message from the rank arrived since the previous Tick, and
+	// silentSince[rank-1] is the last Tick that found it set; lastHeard
+	// is the last Tick that found any set. suspectAfter is the silence
+	// after which a rank is suspected, and lastSilentScan the last Tick
+	// that looked for commands of suspected coordinators.
+	heard          []bool
+	silentSince    []time.Duration
+	lastHeard      time.Duration
+	suspectAfter   time.Duration
+	lastSilentScan time.Duration
 	// uncommittedSeen tracks when an attached promise for a not-locally-
 	// committed command was first observed, and lastCommitReq rate-limits
 	// MCommitRequest per command (Appendix B liveness, delayed).
@@ -297,6 +313,8 @@ func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
 		tracker:         promise.NewTracker(topo.R()),
 		cmds:            make(map[ids.Dot]*cmdInfo),
 		peerWM:          make([]TSWatermark, topo.R()),
+		heard:           make([]bool, topo.R()),
+		silentSince:     make([]time.Duration, topo.R()),
 		uncommittedSeen: make(map[ids.Dot]time.Duration),
 		lastCommitReq:   make(map[ids.Dot]time.Duration),
 		rankToProc:      make([]ids.ProcessID, topo.R()),
@@ -304,6 +322,8 @@ func New(id ids.ProcessID, topo *topology.Topology, cfg Config) *Process {
 		store:           kvstore.New(),
 		leader:          1,
 	}
+	// Ten missed heartbeats, and never under a tenth of the fallback.
+	p.suspectAfter = max(10*p.cfg.PromiseInterval, p.cfg.RecoveryTimeout/10)
 	maxID := ids.ProcessID(0)
 	for _, q := range p.shardProcs {
 		if q > maxID {
@@ -346,8 +366,8 @@ func (p *Process) Clock() uint64 { return p.clock }
 // Store returns the replica's key-value store.
 func (p *Process) Store() *kvstore.Store { return p.store }
 
-// Stats returns (fast-path commits, slow-path commits, recovered commits)
-// decided by this process as coordinator.
+// Stats returns (fast-path commits, slow-path commits) decided by this
+// process as coordinator, and the recovery ballots it started.
 func (p *Process) Stats() (fast, slow, recovered uint64) {
 	return p.statFast, p.statSlow, p.statRecovered
 }
@@ -405,6 +425,9 @@ func (p *Process) Submit(cmd *command.Command) []proto.Action {
 func (p *Process) Handle(from ids.ProcessID, msg proto.Message) []proto.Action {
 	if p.crashed {
 		return nil
+	}
+	if r := p.rankOfProc(from); r != 0 {
+		p.heard[r-1] = true
 	}
 	return p.route(p.handle(from, msg))
 }
@@ -895,14 +918,21 @@ func (p *Process) Tick(now time.Duration) []proto.Action {
 		return nil
 	}
 	p.now = now
+	p.noteHeard()
 	var acts []proto.Action
 	if now-p.lastPromises >= p.cfg.PromiseInterval {
 		p.lastPromises = now
 		acts = append(acts, p.broadcastPromises()...)
 	}
-	if p.cfg.RecoveryTimeout > 0 && now-p.lastResend >= p.cfg.ResendInterval {
-		p.lastResend = now
-		acts = append(acts, p.periodicRecovery()...)
+	if p.cfg.RecoveryTimeout > 0 {
+		if now-p.lastResend >= p.cfg.ResendInterval {
+			p.lastResend = now
+			acts = append(acts, p.periodicRecovery()...)
+		}
+		if p.leader == p.rank && now-p.lastSilentScan >= p.suspectAfter && p.anySuspected() {
+			p.lastSilentScan = now
+			acts = append(acts, p.recoverSilent()...)
+		}
 	}
 	return p.route(append(acts, p.advanceExecution()...))
 }

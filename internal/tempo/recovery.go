@@ -2,6 +2,7 @@ package tempo
 
 import (
 	"slices"
+	"time"
 
 	"tempo/internal/ids"
 	"tempo/internal/proto"
@@ -10,18 +11,82 @@ import (
 // periodicRecovery implements the periodic block of Algorithm 6 (line 75):
 // re-broadcast payloads of long-pending commands and, if this process is
 // the shard leader (per the Ω failure detector), take over their
-// coordination.
+// coordination. It is the fallback for coordinators that are alive but
+// stuck; recoverSilent handles the ones that died.
+func (p *Process) periodicRecovery() []proto.Action {
+	return p.recoverOverdue(p.cfg.RecoveryTimeout, nil)
+}
+
+// noteHeard closes the failure detector's observation period at a Tick:
+// every rank heard from since the previous Tick was alive at this one.
+// The time is the Tick's, never a receive time, so a tick loop that runs
+// late cannot make a peer that kept sending look silent.
+func (p *Process) noteHeard() {
+	for i, h := range p.heard {
+		if h {
+			p.heard[i] = false
+			p.silentSince[i] = p.now
+			p.lastHeard = p.now
+		}
+	}
+}
+
+// suspected reports whether the failure detector suspects a process of
+// this shard: nothing has arrived from it, not even the MPromises every
+// peer sends each PromiseInterval, for suspectAfter — counted up to the
+// last Tick that heard from some other rank. When nothing arrives from
+// anyone, the stall is more likely this process's own (a starved reader,
+// a saturated CPU) than every peer's, and a leader that hears nobody
+// could not gather a recovery quorum anyway.
+func (p *Process) suspected(q ids.ProcessID) bool {
+	r := p.rankOfProc(q)
+	return r != 0 && r != p.rank && p.lastHeard-p.silentSince[r-1] >= p.suspectAfter
+}
+
+// anySuspected reports whether some other rank of the shard is suspected.
+func (p *Process) anySuspected() bool {
+	for _, q := range p.shardOthers {
+		if p.suspected(q) {
+			return true
+		}
+	}
+	return false
+}
+
+// recoverSilent is Algorithm 4's trigger: at the shard leader, recover
+// every command that has been pending for suspectAfter and whose
+// initial coordinator at this shard is suspected. Such a command's
+// fast-quorum members hold attached promises for it that count only once
+// it commits, so until it does it holds the whole shard's stability
+// frontier back; waiting for RecoveryTimeout would stall every client.
+//
+// A command whose ballot this process already owns is skipped: its
+// recovery is under way, or has committed this shard's value while the
+// command waits on another shard. A recovery takes two round trips, so
+// on links slower than suspectAfter a new ballot each scan would void
+// every answer to the last one; retries stay with periodicRecovery.
+func (p *Process) recoverSilent() []proto.Action {
+	return p.recoverOverdue(p.suspectAfter, func(ci *cmdInfo) bool {
+		fq := ci.quorums[p.shard]
+		return len(fq) > 0 && p.suspected(fq[0]) && ids.BallotLeader(ci.bal, p.r) != p.rank
+	})
+}
+
+// recoverOverdue resends the payload of each command pending for at
+// least age (and accepted by match, when set) and, at the shard leader,
+// starts its recovery.
 //
 // It visits only what is pending (see prunePending), so a run costs what
 // is pending plus O(1) per command created since the last prune — not
 // the size of p.cmds, which also holds every command waiting for
 // collection. Overdue commands are handled in Dot order, which makes the
 // emitted actions a function of the message history alone.
-func (p *Process) periodicRecovery() []proto.Action {
+func (p *Process) recoverOverdue(age time.Duration, match func(*cmdInfo) bool) []proto.Action {
 	p.prunePending()
 	var due []ids.Dot
 	for _, id := range p.pendingQ {
-		if ci := p.cmds[id]; ci.phase.pending() && p.now-ci.enqueued >= p.cfg.RecoveryTimeout {
+		ci := p.cmds[id]
+		if ci.phase.pending() && p.now-ci.enqueued >= age && (match == nil || match(ci)) {
 			due = append(due, id)
 		}
 	}
